@@ -69,12 +69,51 @@ _INV_SBOX = tuple(_SBOX.index(i) for i in range(256))
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
 # MixColumns multiplies by fixed coefficients; 256-entry lookup tables
-# keep the hot loop out of bit-twiddling (payload encryption runs once
-# per bomb, payload decryption once per triggered bomb per process).
+# keep the table construction below out of bit-twiddling.
 _MUL = {
     factor: tuple(_gf_mul(value, factor) for value in range(256))
     for factor in (2, 3, 9, 11, 13, 14)
 }
+
+_MASK32 = 0xFFFFFFFF
+
+
+def _rotations(table0: tuple) -> tuple:
+    """``table0`` and its words rotated right by 1, 2 and 3 bytes (one
+    table per state row)."""
+    tables = [table0]
+    for _ in range(3):
+        tables.append(tuple(((w >> 8) | (w << 24)) & _MASK32 for w in tables[-1]))
+    return tuple(tables)
+
+
+# T-tables: one round of SubBytes + ShiftRows + MixColumns on a state of
+# four big-endian column words is 16 table lookups and XORs.  Bomb
+# payloads are encrypted once per bomb at protect time and decrypted on
+# every outer-trigger hit at run time (only the classload is cached), so
+# a word-oriented round is what keeps both paths cheap in pure Python.
+_TE = _rotations(tuple(
+    (_MUL[2][s] << 24) | (s << 16) | (s << 8) | _MUL[3][s] for s in _SBOX
+))
+_TD = _rotations(tuple(
+    (_MUL[14][s] << 24) | (_MUL[9][s] << 16) | (_MUL[13][s] << 8) | _MUL[11][s]
+    for s in _INV_SBOX
+))
+
+
+def _inv_mix_word(word: int) -> int:
+    """InvMixColumns of one column word (for the equivalent inverse cipher)."""
+    td0, td1, td2, td3 = _TD
+    return (
+        td0[_SBOX[word >> 24]] ^ td1[_SBOX[(word >> 16) & 0xFF]]
+        ^ td2[_SBOX[(word >> 8) & 0xFF]] ^ td3[_SBOX[word & 0xFF]]
+    )
+
+
+def _join(words) -> int:
+    """Four 32-bit column words as one 128-bit big-endian block."""
+    w0, w1, w2, w3 = words
+    return (w0 << 96) | (w1 << 64) | (w2 << 32) | w3
 
 
 class AES128:
@@ -87,111 +126,107 @@ class AES128:
     def __init__(self, key: bytes) -> None:
         if len(key) != self.key_size:
             raise CryptoError(f"AES-128 key must be 16 bytes, got {len(key)}")
-        self._round_keys = self._expand_key(key)
+        words = self._expand_key(key)
+        # Round keys 0 and 10 as 128-bit ints, rounds 1-9 as words.
+        # Decryption runs the equivalent inverse cipher: the same outer
+        # keys swapped, rounds 1-9 reversed with InvMixColumns applied.
+        self._key_first = _join(words[0:4])
+        self._key_last = _join(words[40:44])
+        self._enc_rounds = tuple(words[4:40])
+        self._dec_rounds = tuple(
+            _inv_mix_word(word)
+            for r in range(self.rounds - 1, 0, -1)
+            for word in words[4 * r : 4 * r + 4]
+        )
 
     # -- key schedule ------------------------------------------------------
 
     @classmethod
     def _expand_key(cls, key: bytes) -> list:
-        """Expand the cipher key into 11 round keys of 16 bytes each."""
-        words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+        """Expand the cipher key into 44 big-endian 32-bit words."""
+        words = [int.from_bytes(key[i : i + 4], "big") for i in range(0, 16, 4)]
         for i in range(4, 4 * (cls.rounds + 1)):
-            temp = list(words[i - 1])
+            temp = words[i - 1]
             if i % 4 == 0:
-                temp = temp[1:] + temp[:1]  # RotWord
-                temp = [_SBOX[b] for b in temp]  # SubWord
-                temp[0] ^= _RCON[i // 4 - 1]
-            words.append([a ^ b for a, b in zip(words[i - 4], temp)])
-        round_keys = []
-        for r in range(cls.rounds + 1):
-            flat = []
-            for w in words[4 * r : 4 * r + 4]:
-                flat.extend(w)
-            round_keys.append(flat)
-        return round_keys
+                # SubWord(RotWord(temp)) ^ Rcon
+                temp = (
+                    (_SBOX[(temp >> 16) & 0xFF] << 24)
+                    | (_SBOX[(temp >> 8) & 0xFF] << 16)
+                    | (_SBOX[temp & 0xFF] << 8)
+                    | _SBOX[temp >> 24]
+                ) ^ (_RCON[i // 4 - 1] << 24)
+            words.append(words[i - 4] ^ temp)
+        return words
 
-    # -- block primitives ----------------------------------------------------
+    # -- block core ----------------------------------------------------------
 
-    @staticmethod
-    def _add_round_key(state: list, round_key: list) -> None:
-        for i in range(16):
-            state[i] ^= round_key[i]
+    def _encrypt_int(self, block: int) -> int:
+        """Encrypt one 128-bit block held as an int."""
+        te0, te1, te2, te3 = _TE
+        sbox = _SBOX
+        rk = self._enc_rounds
+        block ^= self._key_first
+        s0 = block >> 96
+        s1 = (block >> 64) & _MASK32
+        s2 = (block >> 32) & _MASK32
+        s3 = block & _MASK32
+        for i in range(0, 36, 4):
+            s0, s1, s2, s3 = (
+                te0[s0 >> 24] ^ te1[(s1 >> 16) & 0xFF]
+                ^ te2[(s2 >> 8) & 0xFF] ^ te3[s3 & 0xFF] ^ rk[i],
+                te0[s1 >> 24] ^ te1[(s2 >> 16) & 0xFF]
+                ^ te2[(s3 >> 8) & 0xFF] ^ te3[s0 & 0xFF] ^ rk[i + 1],
+                te0[s2 >> 24] ^ te1[(s3 >> 16) & 0xFF]
+                ^ te2[(s0 >> 8) & 0xFF] ^ te3[s1 & 0xFF] ^ rk[i + 2],
+                te0[s3 >> 24] ^ te1[(s0 >> 16) & 0xFF]
+                ^ te2[(s1 >> 8) & 0xFF] ^ te3[s2 & 0xFF] ^ rk[i + 3],
+            )
+        # Final round: SubBytes + ShiftRows, no MixColumns.
+        return self._key_last ^ int.from_bytes(bytes((
+            sbox[s0 >> 24], sbox[(s1 >> 16) & 0xFF], sbox[(s2 >> 8) & 0xFF], sbox[s3 & 0xFF],
+            sbox[s1 >> 24], sbox[(s2 >> 16) & 0xFF], sbox[(s3 >> 8) & 0xFF], sbox[s0 & 0xFF],
+            sbox[s2 >> 24], sbox[(s3 >> 16) & 0xFF], sbox[(s0 >> 8) & 0xFF], sbox[s1 & 0xFF],
+            sbox[s3 >> 24], sbox[(s0 >> 16) & 0xFF], sbox[(s1 >> 8) & 0xFF], sbox[s2 & 0xFF],
+        )), "big")
 
-    @staticmethod
-    def _sub_bytes(state: list, box: tuple) -> None:
-        for i in range(16):
-            state[i] = box[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: list) -> list:
-        # State is column-major: byte (row r, col c) lives at 4*c + r.
-        out = [0] * 16
-        for c in range(4):
-            for r in range(4):
-                out[4 * c + r] = state[4 * ((c + r) % 4) + r]
-        return out
-
-    @staticmethod
-    def _inv_shift_rows(state: list) -> list:
-        out = [0] * 16
-        for c in range(4):
-            for r in range(4):
-                out[4 * ((c + r) % 4) + r] = state[4 * c + r]
-        return out
-
-    @staticmethod
-    def _mix_columns(state: list) -> list:
-        mul2, mul3 = _MUL[2], _MUL[3]
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a, b, d, e = state[c], state[c + 1], state[c + 2], state[c + 3]
-            out[c] = mul2[a] ^ mul3[b] ^ d ^ e
-            out[c + 1] = a ^ mul2[b] ^ mul3[d] ^ e
-            out[c + 2] = a ^ b ^ mul2[d] ^ mul3[e]
-            out[c + 3] = mul3[a] ^ b ^ d ^ mul2[e]
-        return out
-
-    @staticmethod
-    def _inv_mix_columns(state: list) -> list:
-        mul9, mul11, mul13, mul14 = _MUL[9], _MUL[11], _MUL[13], _MUL[14]
-        out = [0] * 16
-        for c in range(0, 16, 4):
-            a, b, d, e = state[c], state[c + 1], state[c + 2], state[c + 3]
-            out[c] = mul14[a] ^ mul11[b] ^ mul13[d] ^ mul9[e]
-            out[c + 1] = mul9[a] ^ mul14[b] ^ mul11[d] ^ mul13[e]
-            out[c + 2] = mul13[a] ^ mul9[b] ^ mul14[d] ^ mul11[e]
-            out[c + 3] = mul11[a] ^ mul13[b] ^ mul9[d] ^ mul14[e]
-        return out
+    def _decrypt_int(self, block: int) -> int:
+        """Decrypt one 128-bit block held as an int."""
+        td0, td1, td2, td3 = _TD
+        ibox = _INV_SBOX
+        rk = self._dec_rounds
+        block ^= self._key_last
+        s0 = block >> 96
+        s1 = (block >> 64) & _MASK32
+        s2 = (block >> 32) & _MASK32
+        s3 = block & _MASK32
+        for i in range(0, 36, 4):
+            s0, s1, s2, s3 = (
+                td0[s0 >> 24] ^ td1[(s3 >> 16) & 0xFF]
+                ^ td2[(s2 >> 8) & 0xFF] ^ td3[s1 & 0xFF] ^ rk[i],
+                td0[s1 >> 24] ^ td1[(s0 >> 16) & 0xFF]
+                ^ td2[(s3 >> 8) & 0xFF] ^ td3[s2 & 0xFF] ^ rk[i + 1],
+                td0[s2 >> 24] ^ td1[(s1 >> 16) & 0xFF]
+                ^ td2[(s0 >> 8) & 0xFF] ^ td3[s3 & 0xFF] ^ rk[i + 2],
+                td0[s3 >> 24] ^ td1[(s2 >> 16) & 0xFF]
+                ^ td2[(s1 >> 8) & 0xFF] ^ td3[s0 & 0xFF] ^ rk[i + 3],
+            )
+        # Final round: InvShiftRows + InvSubBytes, no InvMixColumns.
+        return self._key_first ^ int.from_bytes(bytes((
+            ibox[s0 >> 24], ibox[(s3 >> 16) & 0xFF], ibox[(s2 >> 8) & 0xFF], ibox[s1 & 0xFF],
+            ibox[s1 >> 24], ibox[(s0 >> 16) & 0xFF], ibox[(s3 >> 8) & 0xFF], ibox[s2 & 0xFF],
+            ibox[s2 >> 24], ibox[(s1 >> 16) & 0xFF], ibox[(s0 >> 8) & 0xFF], ibox[s3 & 0xFF],
+            ibox[s3 >> 24], ibox[(s2 >> 16) & 0xFF], ibox[(s1 >> 8) & 0xFF], ibox[s0 & 0xFF],
+        )), "big")
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for r in range(1, self.rounds):
-            self._sub_bytes(state, _SBOX)
-            state = self._shift_rows(state)
-            state = self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[r])
-        self._sub_bytes(state, _SBOX)
-        state = self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        return self._encrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
             raise CryptoError(f"block must be 16 bytes, got {len(block)}")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for r in range(self.rounds - 1, 0, -1):
-            state = self._inv_shift_rows(state)
-            self._sub_bytes(state, _INV_SBOX)
-            self._add_round_key(state, self._round_keys[r])
-            state = self._inv_mix_columns(state)
-        state = self._inv_shift_rows(state)
-        self._sub_bytes(state, _INV_SBOX)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        return self._decrypt_int(int.from_bytes(block, "big")).to_bytes(16, "big")
 
     # -- modes ----------------------------------------------------------------
 
@@ -200,12 +235,12 @@ class AES128:
         if len(iv) != 16:
             raise CryptoError("IV must be 16 bytes")
         data = pkcs7_pad(plaintext, 16)
-        previous = iv
+        encrypt = self._encrypt_int
+        previous = int.from_bytes(iv, "big")
         out = bytearray()
         for start in range(0, len(data), 16):
-            block = bytes(a ^ b for a, b in zip(data[start : start + 16], previous))
-            previous = self.encrypt_block(block)
-            out.extend(previous)
+            previous = encrypt(int.from_bytes(data[start : start + 16], "big") ^ previous)
+            out += previous.to_bytes(16, "big")
         return bytes(out)
 
     def decrypt_cbc(self, ciphertext: bytes, iv: bytes) -> bytes:
@@ -218,12 +253,12 @@ class AES128:
             raise CryptoError("IV must be 16 bytes")
         if len(ciphertext) % 16 != 0 or not ciphertext:
             raise CryptoError("ciphertext length must be a positive multiple of 16")
-        previous = iv
+        decrypt = self._decrypt_int
+        previous = int.from_bytes(iv, "big")
         out = bytearray()
         for start in range(0, len(ciphertext), 16):
-            block = ciphertext[start : start + 16]
-            plain = self.decrypt_block(block)
-            out.extend(a ^ b for a, b in zip(plain, previous))
+            block = int.from_bytes(ciphertext[start : start + 16], "big")
+            out += (decrypt(block) ^ previous).to_bytes(16, "big")
             previous = block
         return pkcs7_unpad(bytes(out), 16)
 
@@ -231,13 +266,14 @@ class AES128:
         """CTR mode keystream XOR (encryption == decryption)."""
         if len(nonce) != 8:
             raise CryptoError("CTR nonce must be 8 bytes")
+        encrypt = self._encrypt_int
+        counter_base = int.from_bytes(nonce, "big") << 64
         out = bytearray()
-        counter = 0
-        for start in range(0, len(data), 16):
-            keystream = self.encrypt_block(nonce + counter.to_bytes(8, "big"))
+        for counter, start in enumerate(range(0, len(data), 16)):
             chunk = data[start : start + 16]
-            out.extend(a ^ b for a, b in zip(chunk, keystream))
-            counter += 1
+            # A short final chunk uses the leading bytes of the keystream.
+            keystream = encrypt(counter_base | counter) >> (8 * (16 - len(chunk)))
+            out += (int.from_bytes(chunk, "big") ^ keystream).to_bytes(len(chunk), "big")
         return bytes(out)
 
 

@@ -535,13 +535,20 @@ class IngestService:
         finally:
             if queue in self._follower_queues:
                 self._follower_queues.remove(queue)
-            if not relay.done():
-                await queue.put(None)
-                await asyncio.gather(relay, return_exceptions=True)
+            # abort() cancels this handler and the loop's shutdown sweep
+            # cancels it again mid-teardown; absorb that second
+            # cancellation too, so the task ends cleanly instead of
+            # asyncio logging a CancelledError traceback for it.
+            try:
+                if not relay.done():
+                    queue.put_nowait(None)
+                    await asyncio.gather(relay, return_exceptions=True)
+            except asyncio.CancelledError:
+                pass
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, OSError):
+            except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
     async def _relay(self, queue: asyncio.Queue, writer: asyncio.StreamWriter) -> None:

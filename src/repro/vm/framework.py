@@ -482,8 +482,11 @@ class Framework:
         """Load a decrypted dex blob and run its entry with the register
         file array; returns the (possibly mutated) array.
 
-        Loading is cached by blob digest ("the code decryption is
-        one-time effort by caching it in memory", Section 8.4).
+        Only loading is cached, by blob digest: ``bomb.decrypt`` runs
+        on every outer-trigger hit, and a repeat of a decrypted blob
+        reuses the loaded class.  (Section 8.4 caches the decrypted
+        code itself; a decrypt cache here would skip the
+        ``crypto.aes.decrypt`` fault point on repeats.)
 
         This is the containment boundary around payload execution:
         load/deserialize failures and *accidental* interpretation

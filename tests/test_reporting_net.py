@@ -395,6 +395,37 @@ class TestReplication:
         finally:
             promoted.close()
 
+    def test_leader_kill_ends_replica_handler_cleanly(self, attest_key, tmp_path):
+        # abort() plus the loop's shutdown sweep cancel the replica
+        # handler twice; a handler task that ends cancelled makes
+        # asyncio report a CancelledError traceback through the loop's
+        # exception handler.  The race is timing-dependent, so kill
+        # several leaders mid-stream.
+        signed = [make_signed(attest_key, i) for i in range(4)]
+        reported = []
+        for trial in range(5):
+            server = make_server(data_dir=str(tmp_path / f"leader-{trial}"))
+            handle = ServiceHandle.start(server, replication_port=0)
+            handle._loop.set_exception_handler(
+                lambda loop, context: reported.append(context)
+            )
+            follower = ReplicaFollower(
+                str(tmp_path / f"replica-{trial}"),
+                handle.replication_address,
+                expect_shards=4,
+            ).start()
+            try:
+                assert follower.wait_applied(1)
+                transport = TcpTransport(handle.address)
+                for report in signed:
+                    assert transport(report) is SubmitStatus.ACCEPTED
+                transport.close()
+            finally:
+                handle.kill()
+                follower.stop()
+                server.crash()
+        assert reported == []
+
     def test_follower_rejects_shard_mismatch(self, attest_key, tmp_path):
         server = make_server(data_dir=str(tmp_path / "leader"))
         handle = ServiceHandle.start(server, replication_port=0)
