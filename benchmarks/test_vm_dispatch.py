@@ -3,8 +3,8 @@
 The acceptance bar for the dispatch-table interpreter rebuild:
 
 * the table engine interprets >= 2x the instructions/second of the
-  pre-rebuild interpreter (kept verbatim as ``engine="reference"``) on
-  a fusion-heavy kernel;
+  pre-rebuild interpreter (kept verbatim as the test-only
+  ``tests.vm_reference.ReferenceInterpreter``) on a fusion-heavy kernel;
 * real protected-app play sessions are no slower than before
   (sessions/second ratio >= 1x -- in practice far better, since play
   time is interpreter-bound);
@@ -13,7 +13,9 @@ The acceptance bar for the dispatch-table interpreter rebuild:
   observable (``table5_cost_parity``).
 
 Results land in ``BENCH_vm_dispatch.json`` in the working directory so
-CI can upload them as an artifact.
+CI can upload them as an artifact.  Run from the repository root
+(``PYTHONPATH=src python -m pytest benchmarks/test_vm_dispatch.py``) so
+the ``tests`` package that holds the oracle is importable.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.errors import MethodNotFound, VMError
 from repro.fuzzing import DynodroidGenerator
 from repro.vm import Runtime
 from repro.vm.device import DevicePopulation
+from tests.vm_reference import reference_runtime
 
 from conftest import SCALE, print_table
 
@@ -38,6 +41,8 @@ KERNEL_ITERATIONS = max(2_000, int(20_000 * SCALE))
 SESSION_APPS = 2
 SESSIONS_PER_APP = 3
 SESSION_EVENTS = max(100, int(250 * SCALE))
+#: Builds a runtime on each side of the comparison.
+RUNTIMES = {"reference": reference_runtime, "table": Runtime}
 
 # A fusion-heavy interpreter kernel: fused CONST pairs, CONST+compare,
 # CONST+zero-test, app-to-app INVOKE and 32-bit wrapped arithmetic.
@@ -71,7 +76,7 @@ KERNEL_APP = """
 
 
 def _time_kernel(engine: str):
-    runtime = Runtime(assemble(KERNEL_APP), seed=0, engine=engine)
+    runtime = RUNTIMES[engine](assemble(KERNEL_APP), seed=0)
     method = runtime.find_method("K.work")
     started = time.perf_counter()
     result = runtime.session(budget=50_000_000).run(method, [KERNEL_ITERATIONS])
@@ -83,8 +88,8 @@ def _play_sessions(apk, engine: str, seed: int):
     """Calibration-protocol play sessions pinned to one engine.
 
     Mirrors ``repro.vm.sessions.SessionEngine.play`` exactly (device
-    draws, seeds, budgets) but parameterizes the Runtime engine so the
-    reference interpreter can serve as the timing baseline.
+    draws, seeds, budgets) but parameterizes the interpreter so the
+    reference loop can serve as the timing baseline.
     """
     dex = apk.dex()
     package = apk.install_view()
@@ -93,9 +98,8 @@ def _play_sessions(apk, engine: str, seed: int):
     started = time.perf_counter()
     for index in range(SESSIONS_PER_APP):
         session_seed = seed * 100 + index
-        runtime = Runtime(
-            dex, device=population.sample(), package=package,
-            seed=session_seed, engine=engine,
+        runtime = RUNTIMES[engine](
+            dex, device=population.sample(), package=package, seed=session_seed,
         )
         try:
             runtime.boot()

@@ -12,8 +12,6 @@ matter how many values are observed.
 Everything hangs off a :class:`MetricsRegistry`; ``snapshot()`` returns
 plain dicts (JSON-friendly) and ``render()`` a human-readable text
 block for the CLI.
-
-``repro.reporting.metrics`` remains as a deprecated re-export shim.
 """
 
 from __future__ import annotations

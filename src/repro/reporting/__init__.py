@@ -24,12 +24,11 @@ signing key back to the developer and the market acts (Sections 1,
              and leader->follower replication by WAL shipping with
              snapshot+replay failover
 Metrics (counters / gauges / fixed-bucket histograms) live in the
-repo-wide :mod:`repro.metrics`; the old ``repro.reporting.metrics``
-path survives as a deprecated re-export.
+repo-wide :mod:`repro.metrics`.
 
-``repro.userside.aggregation`` and ``repro.userside.market`` sit on top
-of this package; the CLI surface is ``repro serve-reports`` and
-``repro fleet``.
+``repro.userside.market`` sits on top of this package: its
+``process_server_takedowns`` acts on a ``ReportServer``'s verdicts.  The
+CLI surface is ``repro serve-reports`` and ``repro fleet``.
 """
 
 from repro.reporting.client import ReportClient, Transport

@@ -339,12 +339,15 @@ class ReportServer:
         timestamp: Optional[float] = None,
         nonce: Optional[int] = None,
     ) -> SubmitStatus:
-        """Legacy channel: ingest an already-authenticated report.
+        """Ingest a report whose sender was authenticated out of band.
 
-        Used by :class:`repro.userside.aggregation.DetectionAggregator`,
-        which fronts the old free-form string protocol where transport
-        authentication happened out of band.  Skips signature checks but
-        shares dedup, backpressure and the takedown policy.
+        Skips signature checks but shares dedup, backpressure and the
+        takedown policy with :meth:`submit`.  Without an explicit
+        ``timestamp`` the report is stamped with the server clock, and
+        without a ``nonce`` it draws the next trusted nonce.  The
+        ``trusted`` flag is journaled with each report and the nonce
+        counter with each snapshot, so a recovered server never reissues
+        a trusted nonce.
         """
         # Count before any reject, exactly like ``submit`` -- otherwise
         # rejected trusted reports vanish from the received counter and

@@ -1,8 +1,8 @@
 """The developer's aggregated decision states.
 
-Historically exported as ``repro.userside.aggregation.AggregatedVerdict``
-(still re-exported there); the enum lives here so the report pipeline
-does not depend back on the user-side simulation package.
+:meth:`repro.reporting.server.ReportServer.verdict` returns one of these
+with the offending key; the enum lives in its own module so the market
+and the report pipeline share it without importing each other.
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The defense's power comes from difference D1/D2: thousands of diverse
 devices playing every corner of the app.  This package simulates that
 population -- play sessions on sampled devices (Table 3's time-to-first
--trigger), and the aggregation channel (ratings, developer reports,
-market takedown) of Section 4.2.
+-trigger), and the market (ratings, downloads, takedowns with remote
+removal) of Section 4.2.  Developer reports reach the market through
+the signed :mod:`repro.reporting` pipeline.
 """
 
 from repro.userside.simulation import (
@@ -13,7 +14,6 @@ from repro.userside.simulation import (
     simulate_first_triggers,
     population_trigger_fraction,
 )
-from repro.userside.aggregation import DetectionAggregator, AggregatedVerdict
 from repro.userside.market import Market, Listing, InstallRecord
 
 __all__ = [
@@ -21,8 +21,6 @@ __all__ = [
     "FirstTriggerStats",
     "simulate_first_triggers",
     "population_trigger_fraction",
-    "DetectionAggregator",
-    "AggregatedVerdict",
     "Market",
     "Listing",
     "InstallRecord",

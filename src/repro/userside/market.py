@@ -21,20 +21,19 @@ fleet driver, tests) can thread their own seeded stream through and get
 reproducible runs end to end -- nothing touches the module-level
 ``random`` state.
 
-Takedowns come either from a legacy :class:`DetectionAggregator` or
-straight from a :class:`repro.reporting.ReportServer`'s sliding-window
-verdicts (``process_server_takedowns``).
+Takedowns have one path: devices send signed reports to a
+:class:`repro.reporting.ReportServer`, its sliding-window policy gives
+the verdict, and ``process_server_takedowns`` pulls every live listing
+signed by an offending key.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.apk.package import Apk
-from repro.reporting.verdicts import AggregatedVerdict
-from repro.userside.aggregation import DetectionAggregator
 
 
 @dataclass
@@ -75,20 +74,21 @@ class Market:
 
     def __init__(self, seed: int = 0) -> None:
         self._rng = random.Random(seed)
-        self.listings: Dict[str, Listing] = {}
+        self.listings: List[Listing] = []
         self.installs: List[InstallRecord] = []
 
     # -- publishing ---------------------------------------------------------
 
     def publish(self, app_name: str, apk: Apk) -> Listing:
-        """List an APK; the listing is keyed by its signing identity."""
+        """List an APK under its signing identity.
+
+        One publisher key may sign many listings (a pirate reselling
+        several repackaged apps); every one of them is kept.
+        """
         key = apk.cert.fingerprint_hex()
         listing = Listing(app_name=app_name, apk=apk, publisher_key_hex=key)
-        self.listings[key] = listing
+        self.listings.append(listing)
         return listing
-
-    def listing_for_key(self, key_hex: str) -> Optional[Listing]:
-        return self.listings.get(key_hex)
 
     # -- user behavior ------------------------------------------------------
 
@@ -163,44 +163,33 @@ class Market:
 
     # -- enforcement --------------------------------------------------------
 
-    def process_takedown_request(
-        self, aggregator: DetectionAggregator
-    ) -> Optional[Listing]:
-        """Act on a developer's aggregated evidence.
-
-        When the verdict is TAKEDOWN and the offending key has a live
-        listing, pull it and remotely remove it from every device that
-        installed it.  Returns the pulled listing, if any.
-        """
-        verdict, offender_key = aggregator.verdict()
-        if verdict is not AggregatedVerdict.TAKEDOWN:
-            return None
-        return self._take_down(offender_key)
-
     def process_server_takedowns(self, server) -> List[Listing]:
         """Pull every listing a :class:`ReportServer` has evidence against.
 
-        The server's sliding-window policy decides; the market acts.
-        Returns the listings pulled by this call.
+        The server's sliding-window policy decides; the market pulls
+        every live listing signed by an offending key and remotely
+        removes it from every device that installed it.  Returns the
+        listings pulled by this call.
         """
         pulled = []
         for _, offender_key in server.takedown_candidates():
-            listing = self._take_down(offender_key)
-            if listing is not None:
-                pulled.append(listing)
+            pulled.extend(self._take_down(offender_key))
         return pulled
 
-    def _take_down(self, offender_key: str) -> Optional[Listing]:
-        listing = self.listings.get(offender_key)
-        if listing is None or listing.taken_down:
-            return None
-        listing.taken_down = True
-        # Remote Application Removal: per-record and bulk installs alike.
-        for record in self.installs:
-            if record.listing is listing:
-                record.removed = True
-        listing.bulk_installs = 0
-        return listing
+    def _take_down(self, offender_key: str) -> List[Listing]:
+        pulled = [
+            listing
+            for listing in self.listings
+            if listing.publisher_key_hex == offender_key and not listing.taken_down
+        ]
+        for listing in pulled:
+            listing.taken_down = True
+            # Remote Application Removal: per-record and bulk installs alike.
+            for record in self.installs:
+                if record.listing is listing:
+                    record.removed = True
+            listing.bulk_installs = 0
+        return pulled
 
     # -- metrics ------------------------------------------------------------
 
@@ -213,7 +202,7 @@ class Market:
 
     def summary(self) -> str:
         lines = []
-        for listing in self.listings.values():
+        for listing in self.listings:
             status = "TAKEN DOWN" if listing.taken_down else "live"
             lines.append(
                 f"{listing.app_name} by {listing.publisher_key_hex[:12]}...: "

@@ -9,9 +9,8 @@ Components:
 ``framework``    the Android-framework API surface (``android.*``,
                  ``java.*`` and the ``bomb.*`` helpers)
 ``dispatch``     the dispatch-table compiler (superinstruction fusion,
-                 inline-cache call sites) behind the table engine
+                 inline-cache call sites) behind the interpreter
 ``interpreter``  the bytecode interpreter with tracing hooks
-``reference``    the pre-dispatch-table loop, kept as semantic oracle
 ``sessions``     ExecutionContext/SessionResult (the session API) and
                  the batched real-play-session engine
 ``runtime``      class loading (including dynamic loading of decrypted

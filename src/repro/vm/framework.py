@@ -43,7 +43,6 @@ from repro.errors import (
     VMError,
 )
 from repro.vm.containment import fall_through
-from repro.vm.sessions import ExecutionContext
 from repro.vm.values import require_int, to_int32
 
 #: Cost (in interpreter units) of each framework call, on top of the
@@ -104,14 +103,8 @@ class Framework:
         self._digest_cache: Dict[Tuple[str, str], str] = {}
 
     def call(self, name: str, args: List, ctx):
-        """Dispatch one framework call.
-
-        ``ctx`` is the caller's :class:`ExecutionContext`; a legacy
-        mutable budget list is adopted in place (the cell is shared, so
-        decrements stay visible to the list's owner).
-        """
-        if not isinstance(ctx, ExecutionContext):
-            ctx = ExecutionContext.adopt(self._runtime, ctx)
+        """Dispatch one framework call under the caller's
+        :class:`~repro.vm.sessions.ExecutionContext`."""
         handler = self._handlers.get(name)
         if handler is None and name in self._aliases:
             name = self._aliases[name]

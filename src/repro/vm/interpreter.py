@@ -16,19 +16,17 @@ A register machine executing dispatch-table-compiled method bodies
   metric for the Table 5 overhead experiment.
 
 Execution happens under an :class:`~repro.vm.sessions.ExecutionContext`
-(:meth:`Interpreter.execute` / :meth:`execute_payload`); the historical
-``run(method, args, budget=None)`` / ``run_payload(..., budget, policy)``
-signatures survive one release as deprecated shims.
+(:meth:`Interpreter.execute` / :meth:`execute_payload`).
 
-The pre-dispatch-table interpreter survives verbatim as
-:class:`repro.vm.reference.ReferenceInterpreter` -- the semantic oracle
-the differential tests (and the benchmark baseline) run against.
+The differential tests (and the VM dispatch benchmark's baseline) run
+against a test-only oracle, ``tests/vm_reference.py``: the
+pre-dispatch-table decode-as-you-go loop as a subclass that overrides
+only :meth:`Interpreter.execute`.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.chaos.faults import fault_point
 from repro.dex.model import DexMethod
@@ -118,14 +116,16 @@ class CompositeTracer(Tracer):
             child.on_invoke(name, args)
 
 
-class _EngineBase:
-    """Shared entry points of the table and reference interpreters."""
+class Interpreter:
+    """Executes compiled methods against a :class:`repro.vm.runtime.Runtime`."""
 
     def __init__(self, runtime) -> None:
         self._runtime = runtime
-
-    def execute(self, method: DexMethod, args: List, ctx: ExecutionContext, depth: int = 0):
-        raise NotImplementedError
+        # Inline-cache cell arrays, one list per compiled body.  Keyed
+        # by the CompiledMethod object: method.invalidate() drops the
+        # compiled body, so a recompile naturally starts with cold
+        # cells and the stale array is never consulted again.
+        self._cells: Dict[object, list] = {}
 
     def execute_payload(self, method: DexMethod, args: List, ctx: ExecutionContext, policy):
         """Run a bomb payload frame, under a sub-budget when contained.
@@ -141,50 +141,11 @@ class _EngineBase:
             return self.execute(method, args, ctx, depth=1)
         budget = ctx.budget
         cap = fault_point("vm.budget", min(budget[0], policy.payload_budget))
-        sub = ExecutionContext.adopt(self._runtime, [cap])
+        sub = ExecutionContext(self._runtime, budget=cap)
         try:
             return self.execute(method, args, sub, depth=1)
         finally:
             budget[0] -= cap - sub.budget[0]
-
-    # -- deprecated pre-session-API shims (one release) --------------------
-
-    def run(self, method: DexMethod, args: List, budget: Optional[int] = None, depth: int = 0):
-        """Deprecated: use ``Runtime.session(...)`` / :meth:`execute`."""
-        warnings.warn(
-            "Interpreter.run(method, args, budget=...) is deprecated; "
-            "use Runtime.session(budget=...).run(method, args) or "
-            "Interpreter.execute(method, args, ctx)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        cell = [budget if budget is not None else self._runtime.default_budget]
-        return self.execute(method, args, ExecutionContext.adopt(self._runtime, cell), depth)
-
-    def run_payload(self, method: DexMethod, args: List, budget: List[int], policy):
-        """Deprecated: use :meth:`execute_payload` with an ExecutionContext."""
-        warnings.warn(
-            "Interpreter.run_payload(method, args, budget, policy) is "
-            "deprecated; use Interpreter.execute_payload(method, args, ctx, "
-            "policy)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.execute_payload(
-            method, args, ExecutionContext.adopt(self._runtime, budget), policy
-        )
-
-
-class Interpreter(_EngineBase):
-    """Executes compiled methods against a :class:`repro.vm.runtime.Runtime`."""
-
-    def __init__(self, runtime) -> None:
-        super().__init__(runtime)
-        # Inline-cache cell arrays, one list per compiled body.  Keyed
-        # by the CompiledMethod object: method.invalidate() drops the
-        # compiled body, so a recompile naturally starts with cold
-        # cells and the stale array is never consulted again.
-        self._cells: Dict[object, list] = {}
 
     def execute(self, method: DexMethod, args: List, ctx: ExecutionContext, depth: int = 0):
         """Execute ``method`` with ``args`` under ``ctx``; returns its

@@ -122,7 +122,6 @@ class Runtime:
         report_client=None,
         containment: Optional[ContainmentPolicy] = None,
         tracers=(),
-        engine: str = "table",
     ) -> None:
         self.device = device or DevicePopulation(seed=seed).sample()
         self.package = package
@@ -170,17 +169,7 @@ class Runtime:
 
         self.bombs = BombRegistry(self)
         self.framework = Framework(self)
-        if engine == "table":
-            self.interpreter = Interpreter(self)
-        elif engine == "reference":
-            from repro.vm.reference import ReferenceInterpreter
-
-            self.interpreter = ReferenceInterpreter(self)
-        else:
-            raise ValueError(
-                f"unknown engine {engine!r} (expected 'table' or 'reference')"
-            )
-        self.engine = engine
+        self.interpreter = Interpreter(self)
 
         self.load_dex(dex)
         self.app_dex = dex
@@ -346,11 +335,6 @@ class Runtime:
         ``ctx.run(...)`` for measured calls returning
         :class:`~repro.vm.sessions.SessionResult`."""
         return ExecutionContext(self, budget=budget, tracers=tracers, policy=policy)
-
-    def framework_call(self, name: str, args: List, ctx):
-        """Call a framework API; ``ctx`` may be an ExecutionContext or a
-        legacy mutable budget list (adopted in place)."""
-        return self.framework.call(name, args, ctx)
 
     def invoke(self, qualified_name: str, args: List = (), budget: int = None):
         """Invoke a method by name (test/fuzzer entry point)."""

@@ -25,9 +25,6 @@ replaces that plumbing:
     ``OutcomeModel.calibrate`` (same seeds, same device draws, same
     budgets) so fleet calibration and opt-in real-session fleets share
     one engine instead of each reimplementing the loop.
-
-The old ``Interpreter.run`` / ``run_payload`` signatures survive as
-deprecated shims (see :mod:`repro.vm.interpreter`) for one release.
 """
 
 from __future__ import annotations
@@ -88,23 +85,6 @@ class ExecutionContext:
         self._policy = policy
         self._entered = 0
         self._saved = None
-
-    @classmethod
-    def adopt(cls, runtime, cell: List[int]) -> "ExecutionContext":
-        """Wrap an existing mutable budget cell (legacy-shim bridge).
-
-        The cell is shared, not copied: decrements made through the
-        context remain visible to whoever owns the list.
-        """
-        ctx = cls.__new__(cls)
-        ctx.runtime = runtime
-        ctx.budget = cell
-        ctx._initial = cell[0]
-        ctx._tracers = ()
-        ctx._policy = _UNSET
-        ctx._entered = 0
-        ctx._saved = None
-        return ctx
 
     # -- budget accounting ------------------------------------------------
 

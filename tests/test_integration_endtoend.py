@@ -1,13 +1,17 @@
 """The full paper story as one integration test per act."""
 
+import math
+
 import pytest
 
 from repro import BombDroid, BombDroidConfig, build_named_app, repackage
 from repro.attacks import FuzzingAttack, SymbolicAttack
+from repro.core.config import ResponseKind
 from repro.crypto import RSAKeyPair
 from repro.errors import VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.userside import DetectionAggregator, AggregatedVerdict
+from repro.reporting import AggregatedVerdict, ReportClient, ReportServer, TakedownPolicy
+from repro.userside import Market
 from repro.vm import DevicePopulation, Runtime
 
 
@@ -15,7 +19,13 @@ from repro.vm import DevicePopulation, Runtime
 def story():
     """Build -> protect -> pirate, once for the whole module."""
     bundle = build_named_app("Angulo", scale=0.5)
-    config = BombDroidConfig(seed=13, profiling_events=600)
+    config = BombDroidConfig(
+        seed=13,
+        profiling_events=600,
+        # Every detonation reports, so act 3's evidence reaches the
+        # developer's server.
+        responses=(ResponseKind.REPORT,),
+    )
     result = BombDroid(config).protect(bundle.apk, bundle.developer_key)
     attacker = RSAKeyPair.generate(seed=1313)
     pirated = repackage(result.apk, attacker)
@@ -57,20 +67,34 @@ def test_act2_attacker_analysis_stalls(story):
 
 
 def test_act3_users_catch_the_pirate(story):
+    """Users play the pirated copy; their devices' signed reports reach
+    the developer's server, whose takedown verdict pulls the market
+    listing and removes it from every device that installed it there."""
     bundle, _, report, attacker, pirated = story
-    aggregator = DetectionAggregator(
-        app_name=bundle.name,
-        original_key_hex=bundle.developer_key.public.fingerprint().hex(),
-        report_threshold=1,
+    market = Market(seed=4)
+    listing = market.publish(f"{bundle.name} (free!)", pirated)
+    # Device clocks are spread over a week: count every report, however
+    # old the claimed timestamp.
+    server = ReportServer(
+        shards=2,
+        max_report_age=math.inf,
+        policy=TakedownPolicy(distinct_devices=1, window_seconds=math.inf),
     )
+    server.register_app(bundle.name, bundle.developer_key.public.fingerprint().hex())
+    attestation = RSAKeyPair.generate(seed=45)
     population = DevicePopulation(seed=4)
     detections = 0
     for index in range(8):
+        device_id = f"device-{index}"
+        market.download(device_id, listing)
         runtime = Runtime(
             pirated.dex(),
             device=population.sample(),
             package=pirated.install_view(),
             seed=index,
+            report_client=ReportClient(
+                server.submit, attestation, device_id=device_id, seed=index
+            ),
         )
         try:
             runtime.boot()
@@ -82,8 +106,12 @@ def test_act3_users_catch_the_pirate(story):
             except VMError:
                 pass
         detections += bool(runtime.detections)
-        aggregator.ingest_session(runtime)
     assert detections >= 2
-    verdict, key = aggregator.verdict()
-    if verdict is not AggregatedVerdict.CLEAN:
-        assert key == attacker.public.fingerprint().hex()
+    server.process()
+    assert server.verdict(bundle.name) == (
+        AggregatedVerdict.TAKEDOWN, attacker.public.fingerprint().hex()
+    )
+    assert market.active_installs(listing) > 0
+    assert market.process_server_takedowns(server) == [listing]
+    # Remote Application Removal: every install wiped.
+    assert market.active_installs(listing) == 0

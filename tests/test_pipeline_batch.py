@@ -8,7 +8,6 @@ protected outputs across tests.
 from __future__ import annotations
 
 import os
-import warnings
 
 import pytest
 
@@ -351,23 +350,6 @@ class TestCliProtectBatch:
             a = apk_to_bytes(load_apk(str(out_dir / name)))
             b = apk_to_bytes(load_apk(str(out2 / name)))
             assert a == b
-
-
-class TestMetricsShim:
-    def test_old_import_path_warns_and_reexports(self):
-        import importlib
-
-        import repro.reporting.metrics as shim
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(shim)
-        assert any(
-            issubclass(w.category, DeprecationWarning) for w in caught
-        )
-        from repro.metrics import MetricsRegistry
-
-        assert shim.MetricsRegistry is MetricsRegistry
 
 
 class TestStrategy:

@@ -184,14 +184,19 @@ class TestSlidingWindow:
         assert server.metrics.counter("reporting.original_key_reports").value == 1
 
     def test_tie_breaks_deterministically(self, attest_key):
-        server = make_server(policy=self._policy(distinct_devices=5))
         low, high = "bb" * 20, "cc" * 20
-        server.submit(make_signed(attest_key, device="d1", key=high, nonce=1))
-        server.submit(make_signed(attest_key, device="d2", key=low, nonce=2))
-        server.process()
         # Equal distinct-device counts: lexicographically greatest wins,
-        # regardless of insertion order.
-        assert server.verdict("Game") == (AggregatedVerdict.SUSPECT, high)
+        # regardless of insertion order.  A majority beats the tie-break.
+        for keys, winner in (
+            ((high, low), high),
+            ((low, high), high),
+            ((high, low, low, low, low), low),
+        ):
+            server = make_server(policy=self._policy(distinct_devices=5))
+            for i, key in enumerate(keys):
+                server.submit(make_signed(attest_key, device=f"d{i}", key=key, nonce=i))
+            server.process()
+            assert server.verdict("Game") == (AggregatedVerdict.SUSPECT, winner), keys
 
     def test_takedown_latency_recorded_once(self, attest_key):
         server = make_server(policy=self._policy())

@@ -1,13 +1,57 @@
 """The market model: ratings gate downloads, takedowns propagate."""
 
+import math
+
 import pytest
 
-from repro.userside import AggregatedVerdict, DetectionAggregator, Market
+from repro.crypto import RSAKeyPair
+from repro.reporting import (
+    AggregatedVerdict,
+    ReportClient,
+    ReportServer,
+    TakedownPolicy,
+    format_report_text,
+)
+from repro.userside import Market
+from repro.vm import Runtime
 
 
 @pytest.fixture()
 def market():
     return Market(seed=5)
+
+
+@pytest.fixture(scope="module")
+def attest_key():
+    return RSAKeyPair.generate(seed=44)
+
+
+def takedown_server(developer_key, threshold):
+    """Counts reports forever, whatever clock the devices claim."""
+    server = ReportServer(
+        shards=2,
+        max_report_age=math.inf,
+        policy=TakedownPolicy(distinct_devices=threshold, window_seconds=math.inf),
+    )
+    server.register_app("Game", developer_key.public.fingerprint().hex())
+    return server
+
+
+def report_from_devices(server, apk, offender_hex, devices, attest_key):
+    """``devices`` users of ``apk`` each fire a REPORT response naming
+    ``offender_hex``; their report clients sign it to ``server``."""
+    for index in range(devices):
+        runtime = Runtime(
+            apk.dex(),
+            package=apk.install_view(),
+            seed=index,
+            report_client=ReportClient(
+                server.submit, attest_key, f"victim-{index}", seed=index
+            ),
+        )
+        text = format_report_text("Game", f"b{index:03d}") + offender_hex
+        runtime.framework.call("android.net.report", [text], runtime.session())
+    server.process()
 
 
 def test_publish_and_download(market, small_apk):
@@ -41,25 +85,22 @@ def test_rating_bounds(market, small_apk):
         market.rate(listing, 6)
 
 
-def test_takedown_removes_remotely(market, small_apk, pirated_apk, attacker_key, developer_key):
+def test_takedown_removes_remotely(
+    market, pirated_apk, attacker_key, developer_key, attest_key
+):
     pirated_listing = market.publish("Game (free!)", pirated_apk)
     for index in range(40):
         market.download(f"victim-{index}", pirated_listing)
     installed_before = market.active_installs(pirated_listing)
     assert installed_before > 0
 
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=2,
-    )
+    server = takedown_server(developer_key, threshold=2)
     offender = attacker_key.public.fingerprint().hex()
-    aggregator.ingest_report(f"repackaged:Game:b001:key={offender}")
-    aggregator.ingest_report(f"repackaged:Game:b002:key={offender}")
-    assert aggregator.verdict()[0] is AggregatedVerdict.TAKEDOWN
+    report_from_devices(server, pirated_apk, offender, 2, attest_key)
+    assert server.verdict("Game") == (AggregatedVerdict.TAKEDOWN, offender)
 
-    pulled = market.process_takedown_request(aggregator)
-    assert pulled is pirated_listing
+    pulled = market.process_server_takedowns(server)
+    assert pulled == [pirated_listing]
     assert pirated_listing.taken_down
     # Remote Application Removal: every install wiped.
     assert market.active_installs(pirated_listing) == 0
@@ -67,26 +108,53 @@ def test_takedown_removes_remotely(market, small_apk, pirated_apk, attacker_key,
     assert market.download("late-user", pirated_listing) is None
 
 
-def test_takedown_needs_matching_listing(market, small_apk, developer_key):
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=1,
-    )
-    aggregator.ingest_report(f"r:key={'cc' * 20}")
-    assert market.process_takedown_request(aggregator) is None
-
-
-def test_suspect_verdict_takes_no_action(market, pirated_apk, attacker_key, developer_key):
-    listing = market.publish("Game (free!)", pirated_apk)
-    aggregator = DetectionAggregator(
-        app_name="Game",
-        original_key_hex=developer_key.public.fingerprint().hex(),
-        report_threshold=5,
-    )
-    aggregator.ingest_report(f"r:key={attacker_key.public.fingerprint().hex()}")
-    assert market.process_takedown_request(aggregator) is None
+def test_takedown_needs_matching_listing(
+    market, small_apk, pirated_apk, developer_key, attest_key
+):
+    listing = market.publish("Game", small_apk)
+    server = takedown_server(developer_key, threshold=1)
+    report_from_devices(server, pirated_apk, "cc" * 20, 1, attest_key)
+    assert server.verdict("Game")[0] is AggregatedVerdict.TAKEDOWN
+    assert market.process_server_takedowns(server) == []
     assert not listing.taken_down
+
+
+def test_suspect_verdict_takes_no_action(
+    market, pirated_apk, attacker_key, developer_key, attest_key
+):
+    listing = market.publish("Game (free!)", pirated_apk)
+    server = takedown_server(developer_key, threshold=5)
+    offender = attacker_key.public.fingerprint().hex()
+    report_from_devices(server, pirated_apk, offender, 1, attest_key)
+    assert server.verdict("Game")[0] is AggregatedVerdict.SUSPECT
+    assert market.process_server_takedowns(server) == []
+    assert not listing.taken_down
+
+
+def test_takedown_pulls_every_listing_of_the_key(
+    market, small_apk, pirated_apk, attacker_key, developer_key, attest_key
+):
+    """One pirate key, two repackaged apps: a takedown against the key
+    pulls both listings and wipes both sets of installs."""
+    from repro.repack import repackage
+
+    first = market.publish("Game (free!)", pirated_apk)
+    second = market.publish("Game Gold", repackage(small_apk, attacker_key))
+    for listing in (first, second):
+        market.download_batch(listing, 200)
+        for index in range(20):
+            market.download(f"{listing.app_name}-{index}", listing)
+        assert market.active_installs(listing) > 0
+    assert "Game (free!)" in market.summary()
+    assert "Game Gold" in market.summary()
+
+    server = takedown_server(developer_key, threshold=2)
+    offender = attacker_key.public.fingerprint().hex()
+    report_from_devices(server, pirated_apk, offender, 2, attest_key)
+    assert market.process_server_takedowns(server) == [first, second]
+    for listing in (first, second):
+        assert listing.taken_down
+        assert market.active_installs(listing) == 0
 
 
 def test_summary_readable(market, small_apk):

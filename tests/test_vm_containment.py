@@ -86,8 +86,8 @@ class TestDecryptContainment:
         runtime = installed_runtime()
         ciphertext, wrong_key = self._wrong_key_ciphertext()
         with pytest.raises(VMCrash) as info:
-            runtime.framework_call(
-                "bomb.decrypt", [ciphertext, wrong_key, "b1"], [BUDGET]
+            runtime.framework.call(
+                "bomb.decrypt", [ciphertext, wrong_key, "b1"], runtime.session(budget=BUDGET)
             )
         assert info.value.site == "crypto.aes.decrypt"
         assert info.value.bomb_id == "b1"
@@ -95,15 +95,15 @@ class TestDecryptContainment:
     def test_contained_wrong_key_returns_sentinel(self):
         runtime = installed_runtime(ContainmentPolicy())
         ciphertext, wrong_key = self._wrong_key_ciphertext()
-        blob = runtime.framework_call(
-            "bomb.decrypt", [ciphertext, wrong_key, "b1"], [BUDGET]
+        blob = runtime.framework.call(
+            "bomb.decrypt", [ciphertext, wrong_key, "b1"], runtime.session(budget=BUDGET)
         )
         assert blob == b""
         assert runtime.bombs.counts["b1"]["payload_error"] == 1
         # The sentinel makes load_run fall through without touching state.
         array = [5, None, None]
-        result = runtime.framework_call(
-            "bomb.load_run", [b"", "Bomb$b1.run", array, "b1"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [b"", "Bomb$b1.run", array, "b1"], runtime.session(budget=BUDGET)
         )
         assert result == [5, CONTROL_FALLTHROUGH, None]
 
@@ -111,8 +111,8 @@ class TestDecryptContainment:
         runtime = installed_runtime(ContainmentPolicy(strict=True))
         ciphertext, wrong_key = self._wrong_key_ciphertext()
         with pytest.raises(PayloadError) as info:
-            runtime.framework_call(
-                "bomb.decrypt", [ciphertext, wrong_key, "b1"], [BUDGET]
+            runtime.framework.call(
+                "bomb.decrypt", [ciphertext, wrong_key, "b1"], runtime.session(budget=BUDGET)
             )
         assert info.value.bomb_id == "b1"
         assert info.value.site == "crypto.aes.decrypt"
@@ -124,8 +124,9 @@ class TestLoadRunContainment:
         # A blob that decrypted cleanly (padding valid) but is not a dex.
         runtime = installed_runtime(ContainmentPolicy())
         array = [1, 2, None, None]
-        result = runtime.framework_call(
-            "bomb.load_run", [b"\x00" * 32, "Bomb$x.run", array, "bx"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [b"\x00" * 32, "Bomb$x.run", array, "bx"],
+            runtime.session(budget=BUDGET),
         )
         assert result == [1, 2, CONTROL_FALLTHROUGH, None]
         assert runtime.bombs.counts["bx"]["payload_error"] == 1
@@ -138,8 +139,8 @@ class TestLoadRunContainment:
         runtime = installed_runtime(ContainmentPolicy())
         blob, entry = payload_blob()
         array = [3, None, None]
-        result = runtime.framework_call(
-            "bomb.load_run", [corrupt(blob), entry, array, "b1"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [corrupt(blob), entry, array, "b1"], runtime.session(budget=BUDGET)
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         assert result[0] == 3
@@ -149,8 +150,8 @@ class TestLoadRunContainment:
         runtime = installed_runtime(ContainmentPolicy())
         blob, _ = payload_blob()
         array = [3, None, None]
-        result = runtime.framework_call(
-            "bomb.load_run", [blob, "Bomb$b1.no_such", array, "b1"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [blob, "Bomb$b1.no_such", array, "b1"], runtime.session(budget=BUDGET)
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         assert runtime.bombs.counts["b1"]["payload_error"] == 1
@@ -160,30 +161,31 @@ class TestLoadRunContainment:
             ContainmentPolicy(payload_budget=4)   # fewer than the unpack loop
         )
         blob, entry = payload_blob()
-        budget = [BUDGET]
+        ctx = runtime.session(budget=BUDGET)
         array = [3, None, None]
-        result = runtime.framework_call(
-            "bomb.load_run", [blob, entry, array, "b1"], budget
+        result = runtime.framework.call(
+            "bomb.load_run", [blob, entry, array, "b1"], ctx
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         assert runtime.bombs.counts["b1"]["payload_error"] == 1
         # The payload sub-budget capped the damage to the host's budget.
-        assert BUDGET - budget[0] <= 10
+        assert BUDGET - ctx.remaining <= 10
 
     def test_quarantine_after_consecutive_failures(self):
         runtime = installed_runtime(ContainmentPolicy(max_consecutive_failures=2))
         array = [None, None]
         for _ in range(2):
-            runtime.framework_call(
-                "bomb.load_run", [b"junk", "Bomb$q.run", array, "bq"], [BUDGET]
+            runtime.framework.call(
+                "bomb.load_run", [b"junk", "Bomb$q.run", array, "bq"],
+                runtime.session(budget=BUDGET),
             )
         counts = runtime.bombs.counts["bq"]
         assert counts["payload_error"] == 2
         assert counts["quarantined"] == 1
         # Quarantined: the payload is skipped entirely from now on.
         blob, entry = payload_blob(bomb_id="bq")
-        result = runtime.framework_call(
-            "bomb.load_run", [blob, entry, [1, None, None], "bq"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [blob, entry, [1, None, None], "bq"], runtime.session(budget=BUDGET)
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         # Only the two failing runs recorded payload_run; the skipped
@@ -193,11 +195,12 @@ class TestLoadRunContainment:
     def test_success_resets_the_breaker(self):
         runtime = installed_runtime(ContainmentPolicy(max_consecutive_failures=2))
         blob, entry = payload_blob()
-        runtime.framework_call(
-            "bomb.load_run", [b"junk", "Bomb$b1.run", [None, None], "b1"], [BUDGET]
+        runtime.framework.call(
+            "bomb.load_run", [b"junk", "Bomb$b1.run", [None, None], "b1"],
+            runtime.session(budget=BUDGET),
         )
-        runtime.framework_call(
-            "bomb.load_run", [blob, entry, [1, None, None], "b1"], [BUDGET]
+        runtime.framework.call(
+            "bomb.load_run", [blob, entry, [1, None, None], "b1"], runtime.session(budget=BUDGET)
         )
         assert runtime.breaker.consecutive_failures("b1") == 0
         assert not runtime.breaker.is_quarantined("b1")
@@ -207,8 +210,9 @@ class TestLoadRunContainment:
         blob, entry = payload_blob()
         plan = FaultPlan(seed=1).arm("vm.classload", "raise")
         with active_plan(plan):
-            result = runtime.framework_call(
-                "bomb.load_run", [blob, entry, [9, None, None], "b1"], [BUDGET]
+            result = runtime.framework.call(
+                "bomb.load_run", [blob, entry, [9, None, None], "b1"],
+                runtime.session(budget=BUDGET),
             )
         assert result == [9, CONTROL_FALLTHROUGH, None]
         assert runtime.bombs.counts["b1"]["payload_error"] == 1
@@ -218,16 +222,16 @@ class TestLoadRunContainment:
         salt = Salt.from_seed(3)
         plan = FaultPlan(seed=1).arm("crypto.kdf.derive", "raise")
         with active_plan(plan):
-            key = runtime.framework_call(
-                "bomb.derive", [42, salt.value.hex()], [BUDGET]
+            key = runtime.framework.call(
+                "bomb.derive", [42, salt.value.hex()], runtime.session(budget=BUDGET)
             )
         assert key == b"\x00" * 16
         spec = PayloadSpec(
             bomb_id="bk", payload_class="Bomb$bk", slots=0, app_name="A"
         )
         ciphertext = encrypt_payload(build_payload_dex(spec), 42, salt)
-        blob = runtime.framework_call(
-            "bomb.decrypt", [ciphertext, key, "bk"], [BUDGET]
+        blob = runtime.framework.call(
+            "bomb.decrypt", [ciphertext, key, "bk"], runtime.session(budget=BUDGET)
         )
         assert blob == b""
         assert runtime.bombs.counts["bk"]["payload_error"] == 1
@@ -261,8 +265,9 @@ class TestPartialLoadAndCollisions:
         impostor = serialize_dex(
             assemble(".class A\n.method on_key 1\nreturn_void\n.end")
         )
-        result = runtime.framework_call(
-            "bomb.load_run", [impostor, "A.on_key", [None, None], "bs"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [impostor, "A.on_key", [None, None], "bs"],
+            runtime.session(budget=BUDGET),
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         assert runtime.bombs.counts["bs"]["payload_error"] == 1
@@ -292,8 +297,8 @@ class TestDeliberateResponsesPropagate:
     def test_crash_response_not_contained(self):
         runtime, blob, entry = self._pirated_runtime(ContainmentPolicy())
         with pytest.raises(VMCrash, match="repackaging response"):
-            runtime.framework_call(
-                "bomb.load_run", [blob, entry, [None, None], "br"], [BUDGET]
+            runtime.framework.call(
+                "bomb.load_run", [blob, entry, [None, None], "br"], runtime.session(budget=BUDGET)
             )
         assert runtime.bombs.counts["br"]["responded"] == 1
         assert "payload_error" not in runtime.bombs.counts["br"]
@@ -330,8 +335,8 @@ class TestMeshTrippedResponses:
         runtime = installed_runtime(ContainmentPolicy())
         blob, entry = self._meshed_blob()
         with pytest.raises(VMCrash, match="repackaging response"):
-            runtime.framework_call(
-                "bomb.load_run", [blob, entry, [None, None], "bm"], [BUDGET]
+            runtime.framework.call(
+                "bomb.load_run", [blob, entry, [None, None], "bm"], runtime.session(budget=BUDGET)
             )
         counts = runtime.bombs.counts["bm"]
         assert counts["mesh_tripped"] == 1
@@ -348,8 +353,9 @@ class TestMeshTrippedResponses:
         blob, entry = self._meshed_blob()
         for _ in range(4):
             with pytest.raises(VMCrash):
-                runtime.framework_call(
-                    "bomb.load_run", [blob, entry, [None, None], "bm"], [BUDGET]
+                runtime.framework.call(
+                    "bomb.load_run", [blob, entry, [None, None], "bm"],
+                    runtime.session(budget=BUDGET),
                 )
         counts = runtime.bombs.counts["bm"]
         assert counts["mesh_tripped"] == 4
@@ -367,8 +373,8 @@ class TestMeshTrippedResponses:
         )
         # First trip only increments the counter: no response yet, and
         # the clean completion must not look like a payload fault.
-        result = runtime.framework_call(
-            "bomb.load_run", [blob, entry, [None, None], "bm"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [blob, entry, [None, None], "bm"], runtime.session(budget=BUDGET)
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         counts = runtime.bombs.counts["bm"]
@@ -377,8 +383,8 @@ class TestMeshTrippedResponses:
         assert "payload_error" not in counts
         # Second trip reaches the mark threshold and fires.
         with pytest.raises(VMCrash, match="repackaging response"):
-            runtime.framework_call(
-                "bomb.load_run", [blob, entry, [None, None], "bm"], [BUDGET]
+            runtime.framework.call(
+                "bomb.load_run", [blob, entry, [None, None], "bm"], runtime.session(budget=BUDGET)
             )
         counts = runtime.bombs.counts["bm"]
         assert counts["mesh_tripped"] == 2
@@ -390,8 +396,8 @@ class TestMeshTrippedResponses:
         from repro.core.responses import ResponsePlan
 
         runtime = installed_runtime(ContainmentPolicy())
-        value = runtime.framework_call(
-            "android.env.get", ["build.serial_low"], [BUDGET]
+        value = runtime.framework.call(
+            "android.env.get", ["build.serial_low"], runtime.session(budget=BUDGET)
         )
         off_cohort = (value % 2) ^ 1
         blob, entry = self._meshed_blob(
@@ -402,8 +408,8 @@ class TestMeshTrippedResponses:
                 gate_residue=off_cohort,
             )
         )
-        result = runtime.framework_call(
-            "bomb.load_run", [blob, entry, [None, None], "bm"], [BUDGET]
+        result = runtime.framework.call(
+            "bomb.load_run", [blob, entry, [None, None], "bm"], runtime.session(budget=BUDGET)
         )
         assert result[-2] == CONTROL_FALLTHROUGH
         counts = runtime.bombs.counts["bm"]

@@ -1,11 +1,11 @@
-"""Differential tests: table-dispatch engine vs the reference oracle.
+"""Differential tests: the dispatch-table interpreter vs the reference oracle.
 
-The dispatch-table interpreter (``engine="table"``) must be *bit
-identical* to the pre-dispatch-table interpreter, which survives
-verbatim as ``repro.vm.reference.ReferenceInterpreter``
-(``engine="reference"``).  Every test here runs the same program under
-both engines and compares return values, instruction counts, cost
-units, bomb statistics, tracer event streams and error behavior.
+The dispatch-table interpreter must be *bit identical* to the
+pre-dispatch-table loop, which survives verbatim as the test-only
+:class:`tests.vm_reference.ReferenceInterpreter`.  Every test here runs
+the same program under both interpreters and compares return values,
+instruction counts, cost units, bomb statistics, tracer event streams
+and error behavior.
 """
 
 from __future__ import annotations
@@ -19,8 +19,10 @@ from repro.errors import BudgetExhausted, VMError
 from repro.fuzzing import DynodroidGenerator
 from repro.vm import Runtime
 from repro.vm.interpreter import Tracer
+from tests.vm_reference import ReferenceInterpreter, reference_runtime
 
-ENGINES = ("reference", "table")
+#: Builds a runtime on each side of the comparison.
+RUNTIMES = {"reference": reference_runtime, "table": Runtime}
 
 # Exercises every fusion shape the compiler knows (CONST+CONST,
 # CONST+INVOKE, CONST+compare, CONST+zero-test, INVOKE+zero-test),
@@ -108,7 +110,7 @@ def _observables(runtime):
 def _play(apk, engine, seed=7, events=120, budget=200_000, trace=False):
     """Boot + dispatch a seeded event stream; returns every observable."""
     dex = apk.dex()
-    runtime = Runtime(dex, package=apk.install_view(), seed=seed, engine=engine)
+    runtime = RUNTIMES[engine](dex, package=apk.install_view(), seed=seed)
     recorder = RecordingTracer()
     if trace:
         runtime.add_tracer(recorder)
@@ -164,8 +166,8 @@ def _runtimes():
     dex_ref = assemble(FUSION_APP)
     dex_tab = assemble(FUSION_APP)
     return (
-        Runtime(dex_ref, seed=0, engine="reference"),
-        Runtime(dex_tab, seed=0, engine="table"),
+        reference_runtime(dex_ref, seed=0),
+        Runtime(dex_tab, seed=0),
     )
 
 
@@ -243,7 +245,9 @@ class TestInlineCaches:
         assert _probe(tab, "F.helper", [5], 1_000) == _probe(ref, "F.helper", [5], 1_000)
         for r in (ref, tab):
             method = r.find_method("F.helper")
-            assert method._compiled is not None or r.engine == "reference"
+            assert method._compiled is not None or isinstance(
+                r.interpreter, ReferenceInterpreter
+            )
             editor = MethodEditor(method, label_ns="t")
             editor.splice(0, 0, [ins.binop_lit(Op.ADD_LIT, 0, 0, 100)])
             assert method._compiled is None
@@ -273,29 +277,3 @@ class TestClassloadMemo:
         second = runtime.load_blob_method(blob, "P.enter")
         assert second is first
 
-
-class TestDeprecatedShims:
-    def test_run_warns_and_matches_session_api(self):
-        _, tab = _runtimes()
-        method = tab.find_method("F.helper")
-        with pytest.warns(DeprecationWarning, match="Runtime.session"):
-            legacy = tab.interpreter.run(method, [4])
-        assert legacy == tab.session().run(method, [4]).value
-
-    def test_run_with_budget_warns_and_exhausts(self):
-        _, tab = _runtimes()
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(BudgetExhausted):
-                tab.interpreter.run(tab.find_method("F.spin"), [100], budget=5)
-
-    def test_run_payload_warns_and_matches(self):
-        _, tab = _runtimes()
-        method = tab.find_method("F.helper")
-        with pytest.warns(DeprecationWarning, match="execute_payload"):
-            legacy = tab.interpreter.run_payload(method, [4], [10_000], None)
-        ctx = tab.session(budget=10_000)
-        assert legacy == tab.interpreter.execute_payload(method, [4], ctx, None)
-
-    def test_engine_name_validated(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            Runtime(assemble(FUSION_APP), engine="jit")

@@ -25,6 +25,11 @@ def fresh_runtime(body: str, params: int = 0, package=None, device=None):
     return Runtime(dex, package=package, device=device)
 
 
+def call_api(runtime, name, args, budget=1000):
+    """One framework call under a fresh session."""
+    return runtime.framework.call(name, args, runtime.session(budget=budget))
+
+
 class TestStringApis:
     @pytest.mark.parametrize(
         "call,args,expected",
@@ -49,22 +54,22 @@ class TestStringApis:
     )
     def test_library_calls(self, call, args, expected):
         runtime = fresh_runtime("return_void")
-        assert runtime.framework.call(call, list(args), [10_000]) == expected
+        assert call_api(runtime, call, list(args), budget=10_000) == expected
 
     def test_java_hash_code_matches_java(self):
         runtime = fresh_runtime("return_void")
         # Java's String.hashCode("hello") == 99162322.
-        assert runtime.framework.call("java.str.hash_code", ["hello"], [1000]) == 99162322
+        assert call_api(runtime, "java.str.hash_code", ["hello"]) == 99162322
 
     def test_substring_bounds(self):
         runtime = fresh_runtime("return_void")
         with pytest.raises(VMCrash):
-            runtime.framework.call("java.str.substring", ["abc", 2, 9], [1000])
+            call_api(runtime, "java.str.substring", ["abc", 2, 9])
 
     def test_to_int_crashes_on_garbage(self):
         runtime = fresh_runtime("return_void")
         with pytest.raises(VMCrash):
-            runtime.framework.call("java.str.to_int", ["nope"], [1000])
+            call_api(runtime, "java.str.to_int", ["nope"])
 
 
 class TestBombHelpers:
@@ -72,19 +77,19 @@ class TestBombHelpers:
         runtime = fresh_runtime("return_void")
         salt = Salt.from_seed(4)
         expected = hash_constant(42, salt).hex()
-        got = runtime.framework.call("bomb.hash", [42, salt.value.hex(), "b1"], [1000])
+        got = call_api(runtime, "bomb.hash", [42, salt.value.hex(), "b1"])
         assert got == expected
         assert runtime.bombs.counts["b1"]["evaluated"] == 1
 
     def test_hash_of_unencodable_returns_sentinel(self):
         runtime = fresh_runtime("return_void")
-        got = runtime.framework.call("bomb.hash", [None, "00" * 12, "b1"], [1000])
+        got = call_api(runtime, "bomb.hash", [None, "00" * 12, "b1"])
         assert got == "00" * 20
 
     def test_derive_matches_kdf(self):
         runtime = fresh_runtime("return_void")
         salt = Salt.from_seed(4)
-        got = runtime.framework.call("bomb.derive", ["x", salt.value.hex()], [1000])
+        got = call_api(runtime, "bomb.derive", ["x", salt.value.hex()])
         assert got == derive_key("x", salt)
 
     def test_decrypt_roundtrip_and_stat(self):
@@ -93,7 +98,7 @@ class TestBombHelpers:
         runtime = fresh_runtime("return_void")
         key = bytes(16)
         blob = AES128(key).encrypt_cbc(b"payload", b"\x00" * 16)
-        got = runtime.framework.call("bomb.decrypt", [blob, key, "b9"], [1000])
+        got = call_api(runtime, "bomb.decrypt", [blob, key, "b9"])
         assert got == b"payload"
         assert "b9" in runtime.bombs.bombs_with("outer_satisfied")
 
@@ -103,11 +108,11 @@ class TestBombHelpers:
         runtime = fresh_runtime("return_void")
         blob = AES128(bytes(16)).encrypt_cbc(b"payload", b"\x00" * 16)
         with pytest.raises(VMCrash, match="decryption failed"):
-            runtime.framework.call("bomb.decrypt", [blob, bytes([1]) * 16, "b9"], [1000])
+            call_api(runtime, "bomb.decrypt", [blob, bytes([1]) * 16, "b9"])
 
     def test_sha1_hex_call(self):
         runtime = fresh_runtime("return_void")
-        assert runtime.framework.call("bomb.sha1_hex", [b"abc"], [1000]) == sha1_hex(b"abc")
+        assert call_api(runtime, "bomb.sha1_hex", [b"abc"]) == sha1_hex(b"abc")
 
     def test_method_hash_detects_modification(self):
         from repro.dex.hashing import method_instruction_hash
@@ -115,11 +120,11 @@ class TestBombHelpers:
 
         runtime = fresh_runtime("const r0, 1\nreturn r0")
         method = runtime.find_method("T.m")
-        before = runtime.framework.call("android.pm.get_method_hash", ["T.m"], [1000])
+        before = call_api(runtime, "android.pm.get_method_hash", ["T.m"])
         assert before == method_instruction_hash(method)
         method.instructions[0] = ins.const(0, 2)
         method.invalidate()
-        after = runtime.framework.call("android.pm.get_method_hash", ["T.m"], [1000])
+        after = call_api(runtime, "android.pm.get_method_hash", ["T.m"])
         assert after != before
 
 
@@ -127,36 +132,36 @@ class TestPackageApis:
     def test_require_install(self):
         runtime = fresh_runtime("return_void")
         with pytest.raises(VMCrash, match="not installed"):
-            runtime.framework.call("android.pm.get_public_key", [], [1000])
+            call_api(runtime, "android.pm.get_public_key", [])
 
     def test_installed_surface(self):
         dex = assemble(".class A\n.method m 0\nreturn_void\n.end")
         key = RSAKeyPair.generate(seed=2)
         apk = build_apk(dex, Resources(strings={"s": "v"}), key)
         runtime = Runtime(dex, package=apk.install_view())
-        budget = [10_000]
-        assert runtime.framework.call("android.pm.get_public_key", [], budget) == (
+        ctx = runtime.session(budget=10_000)
+        assert runtime.framework.call("android.pm.get_public_key", [], ctx) == (
             key.public.fingerprint().hex()
         )
         digest = runtime.framework.call(
-            "android.pm.get_manifest_digest", ["classes.dex"], budget
+            "android.pm.get_manifest_digest", ["classes.dex"], ctx
         )
         assert digest == apk.manifest.get("classes.dex")
-        assert runtime.framework.call("android.res.get_string", ["s"], budget) == "v"
+        assert runtime.framework.call("android.res.get_string", ["s"], ctx) == "v"
         with pytest.raises(VMCrash):
-            runtime.framework.call("android.res.get_string", ["missing"], budget)
+            runtime.framework.call("android.res.get_string", ["missing"], ctx)
 
     def test_reflection_logged(self):
         runtime = fresh_runtime("return_void")
-        runtime.framework.call("android.reflect.call", ["java.str.length", "abcd"], [1000])
+        call_api(runtime, "android.reflect.call", ["java.str.length", "abcd"])
         assert runtime.reflection_log == ["java.str.length"]
 
     def test_effects_recorded(self):
         runtime = fresh_runtime("return_void")
-        budget = [1000]
-        runtime.framework.call("android.log.i", ["msg"], budget)
-        runtime.framework.call("android.ui.alert", ["warn!"], budget)
-        runtime.framework.call("android.net.report", ["report"], budget)
+        ctx = runtime.session(budget=1000)
+        runtime.framework.call("android.log.i", ["msg"], ctx)
+        runtime.framework.call("android.ui.alert", ["warn!"], ctx)
+        runtime.framework.call("android.net.report", ["report"], ctx)
         assert runtime.logs == ["msg"]
         assert runtime.ui_effects == [("alert", "warn!")]
         assert runtime.reports == ["report"]
