@@ -1,9 +1,9 @@
 """Failover MTTR bench: kill the leader, time the self-healing.
 
-A replicated cluster (durable leader + WAL-shipping follower) runs
-under a threaded :class:`ClusterSupervisor` with a fast heartbeat.  The
-bench SIGKILL-models the leader (``ServiceHandle.kill()`` + server
-crash, no drain), then measures:
+A :class:`Cluster` (durable leader + WAL-shipping follower) runs
+under its threaded supervisor with a fast heartbeat.  The bench
+SIGKILL-models the leader (``Cluster.kill_leader()``: service kill +
+server crash, no drain), then measures:
 
 * **detection** -- first missed heartbeat to the dead declaration
   (supervisor's own event record);
@@ -11,7 +11,7 @@ crash, no drain), then measures:
   connections;
 * **MTTR** -- the client-observed gap: kill instant to the first report
   accepted by the new leader, through a transport that only knows
-  ``supervisor.endpoint()``.
+  ``cluster.endpoint()``.
 
 Convergence is gated too: every pre-kill report answers DUPLICATE on
 the new leader, the post-failover verdict equals an uninterrupted
@@ -37,12 +37,7 @@ from repro.reporting import (
     TakedownPolicy,
     sign_report,
 )
-from repro.reporting.net import (
-    ClusterSupervisor,
-    ReplicaFollower,
-    ServiceHandle,
-    TcpTransport,
-)
+from repro.reporting.net import Cluster, TcpTransport
 
 from conftest import SCALE, print_table
 
@@ -95,35 +90,23 @@ def measurements(tmp_path_factory):
     expected_verdict, expected_offender = _baseline(stream)
     state = tmp_path_factory.mktemp("failover-mttr")
 
-    server_kwargs = dict(shards=4, policy=TakedownPolicy(distinct_devices=3))
-    leader = ReportServer(data_dir=str(state / "leader"), **server_kwargs)
-    leader.register_app(APP, ORIGINAL)
-    handle = ServiceHandle.start(
-        leader, replication_port=0, heartbeat_interval=0.02
+    cluster = Cluster(
+        str(state / "leader"),
+        str(state / "replica"),
+        dict(shards=4, policy=TakedownPolicy(distinct_devices=3)),
+        {APP: ORIGINAL},
+        heartbeat_interval=0.02,
     )
-    follower = ReplicaFollower(
-        str(state / "replica"), handle.replication_address, expect_shards=4
-    ).start()
-    assert follower.wait_applied(1, timeout=20)
+    supervisor = cluster.supervisor.start()
 
-    supervisor = ClusterSupervisor(
-        handle.address,
-        [follower],
-        server_kwargs=server_kwargs,
-        miss_threshold=3,
-        interval=0.02,
-        probe_timeout=0.5,
-    ).start()
-
-    # The client only ever asks the supervisor where to write.
-    transport = TcpTransport(supervisor.endpoint)
+    # The client only ever asks the cluster where to write.
+    transport = TcpTransport(cluster.endpoint)
     for signed in stream[:KILL_AT]:
         assert transport(signed) is SubmitStatus.ACCEPTED
-    assert follower.wait_applied(1 + KILL_AT, timeout=20)
+    assert cluster.follower.wait_applied(1 + KILL_AT, timeout=20)
 
     killed_at = time.monotonic()
-    handle.kill()
-    leader.crash()
+    cluster.kill_leader()
     transport.close()  # the dead connection dies with the leader
 
     # MTTR: retry the next report until the healed cluster accepts it.
@@ -152,15 +135,13 @@ def measurements(tmp_path_factory):
         lambda s: (s.process(), s.verdict(APP))[1]
     )
     epoch = supervisor.promoted_server.epoch
-    supervisor.shutdown()
-    supervisor.promoted_server.close()
-    follower.stop()
+    cluster.shutdown()
 
     payload = {
         "reports": REPORTS,
         "kill_offset": KILL_AT,
         "heartbeat_interval_seconds": 0.02,
-        "miss_threshold": 3,
+        "miss_threshold": supervisor.miss_threshold,
         "detection_seconds": round(event.detection_seconds, 4),
         "promotion_seconds": round(event.promotion_seconds, 4),
         "mttr_seconds": round(mttr, 4),

@@ -32,7 +32,7 @@ import random
 import shutil
 import struct
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.crypto import RSAKeyPair, sha1_hex
@@ -91,14 +91,6 @@ class CrashTrialRecord:
     offender: str
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.scenario, self.crash_offset, self.accepted_before,
-            self.accepted_after, self.wal_replayed, self.torn_records,
-            self.snapshot_loaded, self.takedowns, self.verdict,
-            self.offender, self.violations,
-        )
-
 
 @dataclass
 class CrashRestartReport:
@@ -116,7 +108,7 @@ class CrashRestartReport:
         """Replay fingerprint: same seed, same digest, bit for bit."""
         state = (
             self.seed,
-            tuple(record.key() for record in self.trials),
+            tuple(astuple(record) for record in self.trials),
             tuple(self.violations),
         )
         return sha1_hex(repr(state).encode("utf-8"))
@@ -128,18 +120,7 @@ class CrashRestartReport:
             "digest": self.digest(),
             "violations": list(self.violations),
             "trials": [
-                {
-                    "scenario": r.scenario,
-                    "crash_offset": r.crash_offset,
-                    "accepted_before": r.accepted_before,
-                    "accepted_after": r.accepted_after,
-                    "wal_replayed": r.wal_replayed,
-                    "torn_records": r.torn_records,
-                    "snapshot_loaded": r.snapshot_loaded,
-                    "takedowns": r.takedowns,
-                    "verdict": r.verdict,
-                    "violations": list(r.violations),
-                }
+                dict(asdict(r), violations=list(r.violations))
                 for r in self.trials
             ],
         }

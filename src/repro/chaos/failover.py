@@ -5,8 +5,8 @@ The ``repro chaos --failover`` driver.  Where :mod:`.crash` kills a
 partitions) the **leader of a replicated cluster** mid-stream and lets
 the :class:`~repro.reporting.net.supervisor.ClusterSupervisor` heal it
 -- zero manual ``--promote`` anywhere.  Every trial runs real sockets:
-an ingest :class:`ServiceHandle`, a WAL-shipping
-:class:`ReplicaFollower`, a tick-driven supervisor, and
+a :class:`~repro.reporting.net.cluster.Cluster` (ingest service,
+WAL-shipping follower, tick-driven supervisor) and
 :class:`TcpTransport` clients that must re-route themselves.
 
 Scenarios (all over the same pirated report stream):
@@ -48,14 +48,13 @@ import os
 import random
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultPlan, active_plan
 from repro.crypto import RSAKeyPair, sha1_hex
-from repro.reporting.net.replication import ReplicaFollower
-from repro.reporting.net.service import ServiceHandle
-from repro.reporting.net.supervisor import ClusterSupervisor
+from repro.errors import ReportingError
+from repro.reporting.net.cluster import MAX_TICKS, Cluster
 from repro.reporting.net.transport import TcpTransport
 from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
 from repro.reporting.wire import DetectionReport, SignedReport, sign_report
@@ -75,6 +74,15 @@ _APP = "FailoverApp"
 _ORIGINAL_KEY = "aa" * 20
 _PIRATE_KEY = "bb" * 20
 
+_DUPLICATE_EVERY = 5     # deliberate client double-sends
+#: Leader and promoted follower alike; snapshot_every keeps compaction
+#: out of the counts.
+_SERVER_CONFIG = dict(
+    shards=4,
+    policy=TakedownPolicy(distinct_devices=3, window_seconds=3600.0),
+    snapshot_every=4096,
+)
+
 
 @dataclass
 class FailoverChaosConfig:
@@ -85,12 +93,6 @@ class FailoverChaosConfig:
     #: Stream offsets to kill at; empty derives an early and a late one.
     kill_offsets: Tuple[int, ...] = ()
     scenarios: Tuple[str, ...] = FAILOVER_SCENARIOS
-    shards: int = 4
-    miss_threshold: int = 3
-    duplicate_every: int = 5     # deliberate client double-sends
-    snapshot_every: int = 4096   # keep compaction out of the counts
-    #: Hard cap on supervisor ticks per phase (a hung trial is a bug).
-    max_ticks: int = 64
     #: Parent directory for per-trial data dirs (None = a temp dir that
     #: is removed afterwards).
     data_dir: Optional[str] = None
@@ -123,16 +125,6 @@ class FailoverTrialRecord:
     offender: str
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.scenario, self.kill_offset, self.accepted_before,
-            self.accepted_after, self.duplicates_after,
-            self.ticks_to_failover, self.supervisor_crashes,
-            self.fences_sent, self.fences_acked, self.stale_not_leader,
-            self.redirects, self.epoch, self.takedowns, self.verdict,
-            self.offender, self.violations,
-        )
-
 
 @dataclass
 class FailoverChaosReport:
@@ -150,7 +142,7 @@ class FailoverChaosReport:
         """Replay fingerprint: same seed, same digest, bit for bit."""
         state = (
             self.seed,
-            tuple(record.key() for record in self.trials),
+            tuple(astuple(record) for record in self.trials),
             tuple(self.violations),
         )
         return sha1_hex(repr(state).encode("utf-8"))
@@ -162,23 +154,7 @@ class FailoverChaosReport:
             "digest": self.digest(),
             "violations": list(self.violations),
             "trials": [
-                {
-                    "scenario": r.scenario,
-                    "kill_offset": r.kill_offset,
-                    "accepted_before": r.accepted_before,
-                    "accepted_after": r.accepted_after,
-                    "duplicates_after": r.duplicates_after,
-                    "ticks_to_failover": r.ticks_to_failover,
-                    "supervisor_crashes": r.supervisor_crashes,
-                    "fences_sent": r.fences_sent,
-                    "fences_acked": r.fences_acked,
-                    "stale_not_leader": r.stale_not_leader,
-                    "redirects": r.redirects,
-                    "epoch": r.epoch,
-                    "takedowns": r.takedowns,
-                    "verdict": r.verdict,
-                    "violations": list(r.violations),
-                }
+                dict(asdict(r), violations=list(r.violations))
                 for r in self.trials
             ],
         }
@@ -213,7 +189,6 @@ class FailoverChaosRunner:
 
     def __init__(self, config: FailoverChaosConfig) -> None:
         self.config = config
-        self.policy = TakedownPolicy(distinct_devices=3, window_seconds=3600.0)
         self._stream: Optional[List[SignedReport]] = None
         self._baseline: Optional[tuple] = None
 
@@ -242,17 +217,10 @@ class FailoverChaosRunner:
             ]
         return self._stream
 
-    def server_kwargs(self) -> dict:
-        return dict(
-            shards=self.config.shards,
-            policy=self.policy,
-            snapshot_every=self.config.snapshot_every,
-        )
-
     def baseline(self) -> tuple:
         """Uninterrupted in-memory run: (verdict, offender, accepted)."""
         if self._baseline is None:
-            server = ReportServer(**self.server_kwargs())
+            server = ReportServer(**_SERVER_CONFIG)
             server.register_app(_APP, _ORIGINAL_KEY)
             accepted: Set[Tuple[str, int]] = set()
             for signed in self.stream():
@@ -262,10 +230,7 @@ class FailoverChaosRunner:
                     )
             server.process()
             verdict, offender = server.verdict(_APP)
-            takedowns = int(
-                server.metrics.counter("reporting.takedowns").value
-            )
-            self._baseline = (verdict, offender, frozenset(accepted), takedowns)
+            self._baseline = (verdict, offender, frozenset(accepted))
         return self._baseline
 
     # -- one trial ----------------------------------------------------------
@@ -285,34 +250,31 @@ class FailoverChaosRunner:
     def run_trial(
         self, scenario: str, kill_offset: int, trial_dir: str
     ) -> FailoverTrialRecord:
+        cluster = Cluster(
+            os.path.join(trial_dir, "leader"),
+            os.path.join(trial_dir, "replica"),
+            _SERVER_CONFIG,
+            {_APP: _ORIGINAL_KEY},
+            heartbeat_interval=0.05,
+        )
+        try:
+            return self._trial(cluster, scenario, kill_offset)
+        finally:
+            cluster.shutdown()
+
+    def _trial(
+        self, cluster: Cluster, scenario: str, kill_offset: int
+    ) -> FailoverTrialRecord:
         config = self.config
         prefix = (
             f"[replay: --seed {config.seed}, {scenario}, kill@{kill_offset}]"
         )
         violations: List[str] = []
         stream = self.stream()
-        expected_verdict, expected_offender, expected_accepted, _ = (
-            self.baseline()
-        )
-
-        # -- the cluster: leader + warm-standby follower -------------------
-        leader = ReportServer(
-            data_dir=os.path.join(trial_dir, "leader"), **self.server_kwargs()
-        )
-        leader.register_app(_APP, _ORIGINAL_KEY)
-        handle = ServiceHandle.start(
-            leader, replication_port=0, heartbeat_interval=0.05
-        )
-        follower = ReplicaFollower(
-            os.path.join(trial_dir, "replica"),
-            handle.replication_address,
-            expect_shards=config.shards,
-        ).start()
-        if not follower.wait_applied(1, timeout=10):
-            violations.append(f"{prefix} follower never bootstrapped")
+        expected_verdict, expected_offender, expected_accepted = self.baseline()
 
         # -- pre-kill traffic ----------------------------------------------
-        leader_endpoint = handle.address  # survives the kill below
+        leader_endpoint = cluster.leader_endpoint  # survives the kill below
         transport = TcpTransport([leader_endpoint])
         accepted_before: Set[Tuple[str, int]] = set()
         for i in range(kill_offset):
@@ -325,7 +287,7 @@ class FailoverChaosRunner:
                         f"{prefix} (device, nonce) {pair} accepted twice"
                     )
                 accepted_before.add(pair)
-            if i % config.duplicate_every == 2:
+            if i % _DUPLICATE_EVERY == 2:
                 dup = transport(stream[i - 1])
                 if dup is SubmitStatus.ACCEPTED:
                     violations.append(
@@ -335,7 +297,9 @@ class FailoverChaosRunner:
         # Catch-up barrier: the matrix asserts *lossless* failover, so
         # the follower must hold every acked record before the kill
         # (bootstrap snapshot counts as the first apply).
-        if not follower.wait_applied(1 + len(accepted_before), timeout=10):
+        if not cluster.follower.wait_applied(
+            1 + len(accepted_before), timeout=10
+        ):
             violations.append(
                 f"{prefix} follower never caught up to "
                 f"{len(accepted_before)} acked records"
@@ -344,52 +308,33 @@ class FailoverChaosRunner:
         # -- the failure + the supervised recovery -------------------------
         leader_alive = scenario in _LIVE_LEADER
         if not leader_alive:
-            handle.kill()
-            leader.crash()
-        supervisor = ClusterSupervisor(
-            leader_endpoint,
-            [follower],
-            server_kwargs=self.server_kwargs(),
-            miss_threshold=config.miss_threshold,
-            probe_timeout=0.5,
-        )
-        plan = self._plan_for(scenario)
-        ticks = 0
-        with active_plan(plan):
-            while supervisor.failovers == 0 and ticks < config.max_ticks:
-                supervisor.tick()
-                ticks += 1
+            cluster.kill_leader()
+        supervisor = cluster.supervisor
+        with active_plan(self._plan_for(scenario)):
+            try:
+                ticks = cluster.tick_until_promoted()
+            except ReportingError as exc:
+                violations.append(f"{prefix} no automatic promotion: {exc}")
+                return FailoverTrialRecord(
+                    scenario=scenario, kill_offset=kill_offset,
+                    accepted_before=len(accepted_before), accepted_after=0,
+                    duplicates_after=0, ticks_to_failover=MAX_TICKS,
+                    supervisor_crashes=supervisor.crashes,
+                    fences_sent=supervisor.fences_sent,
+                    fences_acked=supervisor.fences_acked,
+                    stale_not_leader=0, redirects=0, epoch=0, takedowns=0,
+                    verdict="none", offender="", violations=tuple(violations),
+                )
             refence = 0
-            while (
-                leader_alive
-                and not supervisor.fenced
-                and refence < config.max_ticks
-            ):
+            while leader_alive and not supervisor.fenced and refence < MAX_TICKS:
                 supervisor.tick()
                 refence += 1
-        if supervisor.failovers != 1:
-            violations.append(
-                f"{prefix} no automatic promotion after {ticks} ticks"
-            )
-            record = FailoverTrialRecord(
-                scenario=scenario, kill_offset=kill_offset,
-                accepted_before=len(accepted_before), accepted_after=0,
-                duplicates_after=0, ticks_to_failover=ticks,
-                supervisor_crashes=supervisor.crashes,
-                fences_sent=supervisor.fences_sent,
-                fences_acked=supervisor.fences_acked,
-                stale_not_leader=0, redirects=0, epoch=0, takedowns=0,
-                verdict="none", offender="", violations=tuple(violations),
-            )
-            if leader_alive:
-                handle.stop()
-            return record
         promoted = supervisor.promoted_server
         promoted_handle = supervisor.promoted_handle
-        if promoted.epoch <= leader.epoch:
+        if promoted.epoch <= cluster.leader.epoch:
             violations.append(
                 f"{prefix} promoted epoch {promoted.epoch} does not exceed "
-                f"the old leader's {leader.epoch}"
+                f"the old leader's {cluster.leader.epoch}"
             )
         if leader_alive and not supervisor.fenced:
             violations.append(f"{prefix} live stale leader was never fenced")
@@ -417,7 +362,7 @@ class FailoverChaosRunner:
         # old endpoint so the NOT_LEADER redirect path carries real load.
         stale_accepted_floor = 0
         if leader_alive:
-            stale_accepted_floor = handle.call(
+            stale_accepted_floor = cluster.handle.call(
                 lambda s: int(s.metrics.counter("reporting.accepted").value)
             )
             drain = TcpTransport([leader_endpoint])
@@ -445,7 +390,7 @@ class FailoverChaosRunner:
 
         stale_not_leader = 0
         if leader_alive:
-            stale_accepted = handle.call(
+            stale_accepted = cluster.handle.call(
                 lambda s: int(s.metrics.counter("reporting.accepted").value)
             )
             if stale_accepted != stale_accepted_floor:
@@ -454,7 +399,7 @@ class FailoverChaosRunner:
                     f"{stale_accepted - stale_accepted_floor} "
                     f"post-promotion write(s)"
                 )
-            stale_not_leader = handle.call(
+            stale_not_leader = cluster.handle.call(
                 lambda s: int(
                     s.metrics.counter("reporting.net.not_leader").value
                 )
@@ -464,7 +409,6 @@ class FailoverChaosRunner:
                     f"{prefix} drain through the stale leader never hit "
                     f"the NOT_LEADER redirect path"
                 )
-            handle.stop()
 
         # -- convergence ----------------------------------------------------
         total_accepted = accepted_before | accepted_after
@@ -492,10 +436,6 @@ class FailoverChaosRunner:
                 f"{prefix} {takedowns} takedowns across the failover, "
                 f"expected exactly 1"
             )
-        epoch = promoted.epoch
-        supervisor.shutdown()
-        promoted.close()
-
         return FailoverTrialRecord(
             scenario=scenario,
             kill_offset=kill_offset,
@@ -508,7 +448,7 @@ class FailoverChaosRunner:
             fences_acked=supervisor.fences_acked,
             stale_not_leader=stale_not_leader,
             redirects=redirects,
-            epoch=epoch,
+            epoch=promoted.epoch,
             takedowns=takedowns,
             verdict=verdict.value,
             offender=offender,

@@ -31,7 +31,7 @@ reproduce it bit for bit (``verify_replay``).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.faults import FaultPlan, active_plan
@@ -99,14 +99,6 @@ class TrialRecord:
     degraded: bool
     violations: Tuple[str, ...]
 
-    def key(self) -> tuple:
-        return (
-            self.trial, self.scenario, self.armed, self.fault_fires,
-            self.fault_log, self.crashes, self.errors, self.payload_errors,
-            self.quarantines, self.detected, self.accepted, self.degraded,
-            self.violations,
-        )
-
 
 @dataclass
 class ChaosReport:
@@ -129,7 +121,7 @@ class ChaosReport:
             self.seed,
             self.baseline_transparent,
             self.bombs_injected,
-            tuple(record.key() for record in self.trials),
+            tuple(astuple(record) for record in self.trials),
             tuple(self.violations),
         )
         return sha1_hex(repr(state).encode("utf-8"))

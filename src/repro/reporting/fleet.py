@@ -131,13 +131,9 @@ class FleetConfig:
     transport: str = "inproc"         # "inproc" | "tcp" (real loopback sockets)
     replica_dir: Optional[str] = None  # follow the leader's WAL here (tcp +
                                        # data_dir; enables failover)
-    failover_after_batch: Optional[int] = None  # kill the leader service at
-                                                # this batch boundary and
-                                                # promote the follower
-    supervised: bool = False          # let a ClusterSupervisor detect the
-                                      # kill and promote (no manual promote)
-    heartbeat_miss_threshold: int = 3  # consecutive probe misses before the
-                                       # supervisor declares the leader dead
+    failover_after_batch: Optional[int] = None  # kill the leader here; the
+                                                # supervisor promotes the
+                                                # follower
     real_sessions: bool = False       # run a real interpreted play session
                                        # for every sampled reporter instead of
                                        # trusting the calibrated model (needs
@@ -246,10 +242,11 @@ def run_fleet(
     ``config.transport="tcp"`` serves the same server over a real
     loopback socket (:class:`~repro.reporting.net.ServiceHandle`) and
     gives every client a :class:`~repro.reporting.net.TcpTransport`;
-    with ``replica_dir`` a WAL-shipping follower trails the leader, and
-    ``failover_after_batch`` kills the leader service mid-run and
-    promotes the follower -- the networked analogue of
-    ``crash_after_batch``.
+    with ``replica_dir`` the run owns a
+    :class:`~repro.reporting.net.cluster.Cluster` (leader + WAL-shipping
+    follower), and ``failover_after_batch`` kills the leader service
+    mid-run and lets the cluster's supervisor promote the follower --
+    the networked analogue of ``crash_after_batch``.
     """
     if config.real_sessions and session_engine is None:
         raise ReportingError(
@@ -275,43 +272,17 @@ def run_fleet(
         raise ReportingError(
             "failover_after_batch requires replica_dir (a follower to promote)"
         )
-    if config.supervised and config.failover_after_batch is None:
-        raise ReportingError(
-            "supervised requires failover_after_batch (a kill to supervise)"
-        )
     owns_server = server is None
-    if config.failover_after_batch is not None and not owns_server:
-        raise ReportingError("failover_after_batch requires a fleet-owned server")
-    if server is None:
-        server = ReportServer(
-            shards=config.shards, policy=config.policy,
-            data_dir=config.data_dir, snapshot_every=config.snapshot_every,
-        )
-    if app_name not in server.apps:
-        server.register_app(app_name, original_key_hex)
+    if config.replica_dir is not None and not owns_server:
+        raise ReportingError("replica_dir requires a fleet-owned server")
+    server_config = dict(
+        shards=config.shards, policy=config.policy,
+        snapshot_every=config.snapshot_every,
+    )
 
+    cluster = None
     net_handle = None
-    follower = None
-    endpoint = {"addr": None}  # mutable: failover re-points every client
-    if tcp:
-        from repro.reporting.net import ReplicaFollower, ServiceHandle, TcpTransport
-
-        net_handle = ServiceHandle.start(
-            server,
-            replication_port=0 if config.replica_dir is not None else None,
-        )
-        endpoint["addr"] = net_handle.address
-        if config.replica_dir is not None:
-            follower = ReplicaFollower(
-                config.replica_dir,
-                net_handle.replication_address,
-                expect_shards=server.shard_count,
-            ).start()
-            # Wait for the bootstrap snapshot so an early leader kill
-            # still promotes a directory that knows the app.
-            if not follower.wait_applied(1):
-                raise ReportingError("replica follower never bootstrapped")
-
+    tcp_transports = []
     rng = random.Random(config.seed)
     keys = [
         RSAKeyPair.generate(seed=config.seed * 1000 + 17 + i)
@@ -335,210 +306,184 @@ def run_fleet(
             return send(signed)
         return transport
 
-    if tcp:
-        tcp_transports = [
-            TcpTransport(lambda: endpoint["addr"])
-            for _ in range(max(1, config.attestation_pool))
-        ]
-        transports = [make_transport(sender) for sender in tcp_transports]
-    else:
-        transports = [
-            make_transport(lambda signed: server.submit(signed))
-            for _ in range(max(1, config.attestation_pool))
-        ]
-
-    clients = [
-        ReportClient(
-            transports[i],
-            key,
-            device_id=f"attestation-batch-{i}",
-            seed=config.seed * 7919 + i,
-        )
-        for i, key in enumerate(keys)
-    ]
-
-    report_rate = model.report_rate
-    if config.target_reports is not None and config.devices > 0:
-        report_rate = min(report_rate, config.target_reports / config.devices)
-
-    statuses: Dict[str, int] = {}
-    reports_sent = 0
-    peak_tracked = 0
-    fleet_clock = 0.0
-    takedown_clock: Optional[float] = None
-    verdict, offender = AggregatedVerdict.CLEAN, ""
-    rating_sum = 0
-    rating_count = 0
-    stale_report: Optional[SignedReport] = None
-    batches = 0
-    recoveries = 0
-    wal_replayed = 0
-    failover_epoch = 0
-    started = time.monotonic()
-
-    for batch_start in range(0, config.devices, config.batch_size):
-        batches += 1
-        batch = min(config.batch_size, config.devices - batch_start)
-        brng = random.Random(config.seed * 1_000_003 + batches)
-
-        # Ecosystem loop: the batch's users download first (rating-gated).
-        if market is not None and listing is not None:
-            active = market.download_batch(listing, batch, rng=brng)
-        else:
-            active = batch
-
-        for offset in _sample_indices(active, report_rate, brng):
-            device_index = batch_start + offset
-            bomb_id = f"b{device_index % model.bomb_pool:03d}"
-            observed_key_hex = model.observed_key_hex
-            if config.real_sessions:
-                # Opt-in fidelity: actually interpret this device's play
-                # session instead of trusting the calibrated outcome.
-                # No report emitted by the real session means no report
-                # on the wire -- the synthetic sample overestimated.
-                outcome = session_engine.play_one(device_index)
-                if not outcome.reports:
-                    statuses["session_no_report"] = (
-                        statuses.get("session_no_report", 0) + 1
-                    )
-                    continue
-                parsed = parse_report_text(outcome.reports[0])
-                bomb_id = parsed.get("bomb") or bomb_id
-                observed_key_hex = parsed.get("key") or observed_key_hex
-            client = clients[device_index % len(clients)]
-            timestamp = fleet_clock + brng.random() * config.batch_seconds
-            client.report(
-                app_name=app_name,
-                bomb_id=bomb_id,
-                observed_key_hex=observed_key_hex,
-                timestamp=timestamp,
-                device_id=f"dev-{device_index:09d}",
+    try:
+        if tcp:
+            from repro.reporting.net import Cluster, ServiceHandle, TcpTransport
+        if config.replica_dir is not None:
+            cluster = Cluster(
+                config.data_dir, config.replica_dir, server_config,
+                {app_name: original_key_hex},
             )
-            reports_sent += 1
-            status = client.last_status
-            name = status.value if isinstance(status, SubmitStatus) else "spooled"
-            statuses[name] = statuses.get(name, 0) + 1
-            signed = client.last_signed
-            if stale_report is None:
-                stale_report = signed
-            if config.duplicate_rate and brng.random() < config.duplicate_rate:
-                dup = on_server(lambda s: s.submit(signed))
-                statuses[dup.value] = statuses.get(dup.value, 0) + 1
-            if config.forge_rate and brng.random() < config.forge_rate:
-                forged = replace(signed, signature=signed.signature ^ 1)
-                bad = on_server(lambda s: s.submit(forged))
-                statuses[bad.value] = statuses.get(bad.value, 0) + 1
-
-        if (
-            config.replay_stale
-            and stale_report is not None
-            and fleet_clock - stale_report.report.timestamp > server.max_report_age
-        ):
-            replayed = on_server(lambda s: s.submit(stale_report))
-            statuses[replayed.value] = statuses.get(replayed.value, 0) + 1
-
-        on_server(lambda s: s.process())
-        for client in clients:
-            if client.spooled:
-                client.flush()
-
-        # Ratings: detections sour the reviews (bulk counters, no lists).
-        bad_count = int(round(active * model.bad_experience_rate))
-        good_count = active - bad_count
-        rating_sum += bad_count * 1 + good_count * 5
-        rating_count += active
-        if market is not None and listing is not None:
-            if bad_count:
-                market.rate_batch(listing, 1, bad_count)
-            if good_count:
-                market.rate_batch(listing, 5, good_count)
-
-        fleet_clock += config.batch_seconds
-        tracked = on_server(lambda s: s.tracked_state_size())
-        if tracked > peak_tracked:
-            peak_tracked = tracked
-
-        if tcp and batches == config.failover_after_batch and follower is not None:
-            # The networked crash model: the leader *service* dies with
-            # no drain (connections break, the replication stream hits
-            # EOF mid-flight), and the follower's directory -- bootstrap
-            # snapshot + every shipped WAL record -- is promoted through
-            # the same snapshot+replay path a local crash uses.
-            old_endpoint = net_handle.address
-            net_handle.kill()
-            server.crash()
-            if config.supervised:
-                # Nobody calls promote: a ClusterSupervisor probes the
-                # dead endpoint, declares it after miss_threshold
-                # strikes, and performs the epoch-bumping promotion
-                # itself.  The fleet only re-points its endpoint cell.
-                from repro.reporting.net import ClusterSupervisor
-
-                supervisor = ClusterSupervisor(
-                    old_endpoint,
-                    [follower],
-                    server_kwargs=dict(
-                        shards=config.shards, policy=config.policy,
-                        snapshot_every=config.snapshot_every,
-                    ),
-                    miss_threshold=config.heartbeat_miss_threshold,
-                    probe_timeout=0.5,
-                )
-                ticks = 0
-                while supervisor.failovers == 0 and ticks < 64:
-                    supervisor.tick()
-                    ticks += 1
-                if supervisor.failovers != 1:
-                    raise ReportingError(
-                        "supervised failover never promoted the follower"
-                    )
-                server = supervisor.promoted_server
-                net_handle = supervisor.promoted_handle
-                failover_epoch = server.epoch
-            else:
-                server = follower.promote(
-                    shards=config.shards, policy=config.policy,
-                    snapshot_every=config.snapshot_every,
-                )
-            follower = None
+            server = cluster.leader
+            net_handle = cluster.handle
+        else:
+            if server is None:
+                server = ReportServer(data_dir=config.data_dir, **server_config)
             if app_name not in server.apps:
                 server.register_app(app_name, original_key_hex)
-            recoveries += 1
-            wal_replayed += server.metrics.counter("wal.replayed").value
-            server.process()
-            if not config.supervised:
+            if tcp:
                 net_handle = ServiceHandle.start(server)
-            endpoint["addr"] = net_handle.address
 
-        if batches == config.crash_after_batch:
-            # Kill-and-recover at the batch boundary: drop the server
-            # with no clean shutdown and rebuild it from the WAL +
-            # snapshot.  The transport closure picks up the rebound
-            # ``server``; dedup windows and takedown state must survive.
-            server.crash()
-            server = ReportServer.recover(
-                config.data_dir,
-                shards=config.shards, policy=config.policy,
-                snapshot_every=config.snapshot_every,
+        if tcp:
+            tcp_transports = [
+                TcpTransport(cluster.endpoint if cluster else net_handle.address)
+                for _ in keys
+            ]
+        senders = tcp_transports or [
+            lambda signed: server.submit(signed)
+        ] * len(keys)
+        transports = [make_transport(send) for send in senders]
+
+        clients = [
+            ReportClient(
+                transports[i],
+                key,
+                device_id=f"attestation-batch-{i}",
+                seed=config.seed * 7919 + i,
             )
-            recoveries += 1
-            wal_replayed += server.metrics.counter("wal.replayed").value
-            server.process()
+            for i, key in enumerate(keys)
+        ]
 
-        verdict, offender = on_server(lambda s: s.verdict(app_name))
-        if verdict is AggregatedVerdict.TAKEDOWN and takedown_clock is None:
-            takedown_clock = fleet_clock
-            if market is not None:
-                on_server(lambda s: market.process_server_takedowns(s))
-            if config.stop_on_takedown:
-                break
+        report_rate = model.report_rate
+        if config.target_reports is not None and config.devices > 0:
+            report_rate = min(report_rate, config.target_reports / config.devices)
 
-    if net_handle is not None:
-        net_handle.stop()
-        net_handle = None
-    if follower is not None:
-        follower.stop()
-    if tcp:
+        statuses: Dict[str, int] = {}
+        reports_sent = 0
+        peak_tracked = 0
+        fleet_clock = 0.0
+        takedown_clock: Optional[float] = None
+        verdict, offender = AggregatedVerdict.CLEAN, ""
+        rating_sum = 0
+        rating_count = 0
+        stale_report: Optional[SignedReport] = None
+        batches = 0
+        recoveries = 0
+        wal_replayed = 0
+        failover_epoch = 0
+        started = time.monotonic()
+
+        for batch_start in range(0, config.devices, config.batch_size):
+            batches += 1
+            batch = min(config.batch_size, config.devices - batch_start)
+            brng = random.Random(config.seed * 1_000_003 + batches)
+
+            # Ecosystem loop: the batch's users download first (rating-gated).
+            if market is not None and listing is not None:
+                active = market.download_batch(listing, batch, rng=brng)
+            else:
+                active = batch
+
+            for offset in _sample_indices(active, report_rate, brng):
+                device_index = batch_start + offset
+                bomb_id = f"b{device_index % model.bomb_pool:03d}"
+                observed_key_hex = model.observed_key_hex
+                if config.real_sessions:
+                    # Opt-in fidelity: actually interpret this device's play
+                    # session instead of trusting the calibrated outcome.
+                    # No report emitted by the real session means no report
+                    # on the wire -- the synthetic sample overestimated.
+                    outcome = session_engine.play_one(device_index)
+                    if not outcome.reports:
+                        statuses["session_no_report"] = (
+                            statuses.get("session_no_report", 0) + 1
+                        )
+                        continue
+                    parsed = parse_report_text(outcome.reports[0])
+                    bomb_id = parsed.get("bomb") or bomb_id
+                    observed_key_hex = parsed.get("key") or observed_key_hex
+                client = clients[device_index % len(clients)]
+                timestamp = fleet_clock + brng.random() * config.batch_seconds
+                client.report(
+                    app_name=app_name,
+                    bomb_id=bomb_id,
+                    observed_key_hex=observed_key_hex,
+                    timestamp=timestamp,
+                    device_id=f"dev-{device_index:09d}",
+                )
+                reports_sent += 1
+                status = client.last_status
+                name = status.value if isinstance(status, SubmitStatus) else "spooled"
+                statuses[name] = statuses.get(name, 0) + 1
+                signed = client.last_signed
+                if stale_report is None:
+                    stale_report = signed
+                if config.duplicate_rate and brng.random() < config.duplicate_rate:
+                    dup = on_server(lambda s: s.submit(signed))
+                    statuses[dup.value] = statuses.get(dup.value, 0) + 1
+                if config.forge_rate and brng.random() < config.forge_rate:
+                    forged = replace(signed, signature=signed.signature ^ 1)
+                    bad = on_server(lambda s: s.submit(forged))
+                    statuses[bad.value] = statuses.get(bad.value, 0) + 1
+
+            if (
+                config.replay_stale
+                and stale_report is not None
+                and fleet_clock - stale_report.report.timestamp > server.max_report_age
+            ):
+                replayed = on_server(lambda s: s.submit(stale_report))
+                statuses[replayed.value] = statuses.get(replayed.value, 0) + 1
+
+            on_server(lambda s: s.process())
+            for client in clients:
+                if client.spooled:
+                    client.flush()
+
+            # Ratings: detections sour the reviews (bulk counters, no lists).
+            bad_count = int(round(active * model.bad_experience_rate))
+            good_count = active - bad_count
+            rating_sum += bad_count * 1 + good_count * 5
+            rating_count += active
+            if market is not None and listing is not None:
+                if bad_count:
+                    market.rate_batch(listing, 1, bad_count)
+                if good_count:
+                    market.rate_batch(listing, 5, good_count)
+
+            fleet_clock += config.batch_seconds
+            tracked = on_server(lambda s: s.tracked_state_size())
+            if tracked > peak_tracked:
+                peak_tracked = tracked
+
+            if batches == config.failover_after_batch:
+                # The networked crash model: the leader *service* dies with
+                # no drain.  The supervisor probes the dead endpoint and
+                # promotes the follower's directory through the same
+                # snapshot+replay path a local crash uses; the clients'
+                # endpoint follows it.
+                cluster.kill_leader()
+                cluster.tick_until_promoted()
+                server = cluster.supervisor.promoted_server
+                net_handle = cluster.supervisor.promoted_handle
+                failover_epoch = server.epoch
+                recoveries += 1
+                wal_replayed += on_server(
+                    lambda s: s.metrics.counter("wal.replayed").value
+                )
+
+            if batches == config.crash_after_batch:
+                # Kill-and-recover at the batch boundary: drop the server
+                # with no clean shutdown and rebuild it from the WAL +
+                # snapshot.  The transport closure picks up the rebound
+                # ``server``; dedup windows and takedown state must survive.
+                server.crash()
+                server = ReportServer.recover(config.data_dir, **server_config)
+                recoveries += 1
+                wal_replayed += server.metrics.counter("wal.replayed").value
+                server.process()
+
+            verdict, offender = on_server(lambda s: s.verdict(app_name))
+            if verdict is AggregatedVerdict.TAKEDOWN and takedown_clock is None:
+                takedown_clock = fleet_clock
+                if market is not None:
+                    on_server(lambda s: market.process_server_takedowns(s))
+                if config.stop_on_takedown:
+                    break
+    finally:
+        if cluster is not None:
+            cluster.shutdown()  # also closes the serving server's logs
+        elif net_handle is not None:
+            net_handle.stop()
         for tcp_transport in tcp_transports:
             tcp_transport.close()
 
@@ -547,7 +492,7 @@ def run_fleet(
     metrics.counter("fleet.devices_simulated").inc(config.devices)
     metrics.counter("fleet.reports_sent").inc(reports_sent)
     metrics.gauge("fleet.peak_tracked_state").set(peak_tracked)
-    if owns_server and config.data_dir is not None:
+    if owns_server and config.data_dir is not None and cluster is None:
         server.close()
 
     return FleetResult(

@@ -13,6 +13,9 @@ The socket-facing layer over the in-process
   shipping (:class:`ReplicaFollower`) and failover by promotion.
 * :mod:`~repro.reporting.net.supervisor` -- heartbeat monitoring,
   automatic promotion and epoch fencing (:class:`ClusterSupervisor`).
+* :mod:`~repro.reporting.net.cluster` -- the one assembler of a
+  leader, its warm-standby follower and their supervisor
+  (:class:`Cluster`).
 * :mod:`~repro.reporting.net.transport` -- the device-side
   :class:`TcpTransport` plugged into ``ReportClient`` (multi-endpoint,
   redirect-following).
@@ -54,6 +57,7 @@ from repro.reporting.net.supervisor import (
     send_fence,
 )
 from repro.reporting.net.transport import TcpTransport
+from repro.reporting.net.cluster import Cluster
 
 __all__ = [
     "FENCE_MAGIC",
@@ -87,4 +91,5 @@ __all__ = [
     "probe_health",
     "send_fence",
     "TcpTransport",
+    "Cluster",
 ]

@@ -50,7 +50,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.chaos.faults import fault_point
 from repro.errors import FaultInjected, ReportingError, TransportError
@@ -67,11 +67,21 @@ from repro.reporting.net.service import ServiceHandle
 from repro.reporting.server import ReportServer
 
 __all__ = [
+    "FENCE_ATTEMPTS",
+    "MISS_THRESHOLD",
     "ClusterSupervisor",
     "FailoverEvent",
     "probe_health",
     "send_fence",
 ]
+
+
+#: Consecutive missed probes that declare the leader dead.
+MISS_THRESHOLD = 3
+
+#: Fence deliveries tried per failover before a silent old leader is
+#: taken for dead (a dead node needs no fence).
+FENCE_ATTEMPTS = 25
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
@@ -141,8 +151,9 @@ class ClusterSupervisor:
 
     ``tick()`` is the whole protocol -- drive it from a test loop for
     virtual time, or ``start()`` a daemon thread that ticks every
-    ``interval`` seconds (seeded jitter, so fleets of supervisors do
-    not probe in lockstep).
+    ``interval`` seconds (jitter seeded from the first follower's
+    ``data_dir``, so supervisors of different standbys do not probe in
+    lockstep).
     """
 
     def __init__(
@@ -151,16 +162,11 @@ class ClusterSupervisor:
         followers: Sequence[ReplicaFollower],
         *,
         server_kwargs: Optional[dict] = None,
-        service_kwargs: Optional[dict] = None,
-        miss_threshold: int = 3,
+        miss_threshold: int = MISS_THRESHOLD,
         interval: float = 0.5,
         probe_timeout: float = 2.0,
         promote_host: str = "127.0.0.1",
         promote_port: int = 0,
-        fence_attempts: int = 25,
-        seed: int = 0,
-        clock: Callable[[], float] = time.monotonic,
-        probe: Optional[Callable[[], HealthStatus]] = None,
     ) -> None:
         if miss_threshold < 1:
             raise ReportingError("miss_threshold must be >= 1")
@@ -169,18 +175,15 @@ class ClusterSupervisor:
         self.leader_endpoint = (leader_endpoint[0], int(leader_endpoint[1]))
         self.followers: List[ReplicaFollower] = list(followers)
         self.server_kwargs = dict(server_kwargs or {})
-        self.service_kwargs = dict(service_kwargs or {})
         self.miss_threshold = miss_threshold
         self.interval = interval
         self.probe_timeout = probe_timeout
         self.promote_host = promote_host
         self.promote_port = promote_port
-        self.fence_attempts = fence_attempts
-        self._clock = clock
-        self._probe = probe or (
-            lambda: probe_health(self.leader_endpoint, timeout=probe_timeout)
-        )
-        self._rng = random.Random(f"supervisor:{seed}")
+        # Jitter only: tick() never draws from it, so replay digests
+        # cannot move.  Seeded per standby directory so that
+        # supervisors of different followers drift apart.
+        self._rng = random.Random(f"supervisor:{self.followers[0].data_dir}")
 
         # Observability -- everything the chaos matrix asserts on.
         self.misses = 0
@@ -221,7 +224,7 @@ class ClusterSupervisor:
         """One supervision step; True when this tick performed a failover.
 
         Deterministic given the probe outcomes: no sleeps, no wall-clock
-        decisions (the clock only timestamps the event record).
+        decisions (``time.monotonic`` only timestamps the event record).
         """
         try:
             fault_point("net.supervisor_crash")
@@ -237,11 +240,13 @@ class ClusterSupervisor:
             self._refence_stale_leader()
             return False
         try:
-            health = self._probe()
+            health = probe_health(
+                self.leader_endpoint, timeout=self.probe_timeout
+            )
         except (OSError, TransportError, FaultInjected, ReportingError):
             self.misses += 1
             if self._first_miss_at is None:
-                self._first_miss_at = self._clock()
+                self._first_miss_at = time.monotonic()
             if self.misses >= self.miss_threshold:
                 self.failover()
                 return True
@@ -256,27 +261,20 @@ class ClusterSupervisor:
 
     def failover(self) -> FailoverEvent:
         """Promote the most-caught-up follower and fence the old leader."""
-        declared_at = self._clock()
+        declared_at = time.monotonic()
         first_miss = self._first_miss_at
         detection = declared_at - first_miss if first_miss is not None else 0.0
         follower = max(self.followers, key=lambda f: f.applied)
         for other in self.followers:
             if other is not follower:
                 other.stop()
-        kwargs = {
-            key: value
-            for key, value in self.server_kwargs.items()
-            if value is not None
-        }
+        kwargs = dict(self.server_kwargs)
         if follower.shard_count is not None:
             kwargs.setdefault("shards", follower.shard_count)
         server = follower.promote(**kwargs)  # bumps the epoch durably
         server.process()
         handle = ServiceHandle.start(
-            server,
-            host=self.promote_host,
-            port=self.promote_port,
-            **self.service_kwargs,
+            server, host=self.promote_host, port=self.promote_port
         )
         self.promoted_server = server
         self.promoted_handle = handle
@@ -286,7 +284,7 @@ class ClusterSupervisor:
             epoch=server.epoch,
             endpoint=handle.address,
             detection_seconds=detection,
-            promotion_seconds=self._clock() - declared_at,
+            promotion_seconds=time.monotonic() - declared_at,
             follower_applied=follower.applied,
         )
         self._fenced = False
@@ -300,10 +298,10 @@ class ClusterSupervisor:
         A dead leader refuses the connection -- nothing to fence.  A
         *live* one (partition, not death) must acknowledge the fence;
         until it does, every tick retries, bounded by
-        ``fence_attempts`` so a permanently dead endpoint does not buy
+        :data:`FENCE_ATTEMPTS` so a permanently dead endpoint does not buy
         a connect attempt per tick forever.
         """
-        if self._fenced or self._fence_tries >= self.fence_attempts:
+        if self._fenced or self._fence_tries >= FENCE_ATTEMPTS:
             return
         self._fence_tries += 1
         self.fences_sent += 1

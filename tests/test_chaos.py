@@ -8,6 +8,7 @@ from repro.chaos import (
     FAULT_SITES,
     ChaosConfig,
     CrashRestartConfig,
+    FailoverChaosConfig,
     FaultPlan,
     active_plan,
     clear_plan,
@@ -16,6 +17,7 @@ from repro.chaos import (
     install_plan,
     run_chaos,
     run_crash_restart,
+    run_failover_chaos,
 )
 from repro.cli import EXIT_OK, main
 from repro.errors import FaultInjected, ReproError, TransportError
@@ -288,3 +290,11 @@ class TestCrashRestart:
         ])
         assert code == EXIT_OK
         assert "invariants: all held" in capsys.readouterr().out
+
+
+def test_cluster_replay_digests_are_pinned():
+    """The crash and failover matrices replay bit for bit across commits."""
+    crash = run_crash_restart(CrashRestartConfig(seed=11))
+    assert crash.digest() == "86888b37f4a947600aa552b0944aeca0013d21ee"
+    failover = run_failover_chaos(FailoverChaosConfig(seed=17, reports=18))
+    assert failover.digest() == "ca227c85cb590c959ab146bafb5f89b5dd1f83bd"

@@ -9,6 +9,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -552,8 +553,28 @@ class TestFleetTcp:
         )
         result = run_fleet(APP, ORIGINAL, FLEET_MODEL, config)
         assert result.recoveries == 1
+        assert result.failover_epoch == 1
         assert result.verdict is baseline.verdict is AggregatedVerdict.TAKEDOWN
         assert result.offender_key == baseline.offender_key == PIRATE
+
+    def test_failed_bootstrap_stops_every_thread(self, tmp_path, monkeypatch):
+        """Regression: a raising run must not leak service/replica threads."""
+        monkeypatch.setattr(
+            ReplicaFollower, "wait_applied", lambda self, count, timeout=10.0: False
+        )
+        before = set(threading.enumerate())
+        config = dataclasses.replace(
+            FLEET_BASE, transport="tcp",
+            data_dir=str(tmp_path / "leader"),
+            replica_dir=str(tmp_path / "replica"),
+        )
+        with pytest.raises(ReportingError, match="never bootstrapped"):
+            run_fleet(APP, ORIGINAL, FLEET_MODEL, config)
+        leaked = [
+            thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-") and thread not in before
+        ]
+        assert leaked == []
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ReportingError, match="unknown fleet transport"):

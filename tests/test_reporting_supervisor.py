@@ -1,5 +1,6 @@
 """Self-healing cluster: heartbeats, supervised failover, fencing."""
 
+import json
 import threading
 import time
 
@@ -20,6 +21,7 @@ from repro.reporting import (
     sign_report,
 )
 from repro.reporting.net import (
+    Cluster,
     ClusterSupervisor,
     HealthStatus,
     ReplicaFollower,
@@ -53,60 +55,32 @@ def make_signed(attest_key, i, ts=10.0, key=PIRATE, app=APP):
     )
 
 
-class Cluster:
+SERVER_CONFIG = dict(shards=4, policy=TakedownPolicy(distinct_devices=3))
+
+
+def make_cluster(tmp_path, **kwargs):
     """One durable leader + ingest service + warm-standby follower."""
+    kwargs.setdefault("heartbeat_interval", 0.05)
+    return Cluster(
+        str(tmp_path / "leader"),
+        str(tmp_path / "replica"),
+        SERVER_CONFIG,
+        {APP: ORIGINAL},
+        **kwargs,
+    )
 
-    def __init__(self, tmp_path, shards=4, heartbeat_interval=0.05):
-        self.server_kwargs = dict(
-            shards=shards, policy=TakedownPolicy(distinct_devices=3)
-        )
-        self.leader = ReportServer(
-            data_dir=str(tmp_path / "leader"), **self.server_kwargs
-        )
-        self.leader.register_app(APP, ORIGINAL)
-        self.handle = ServiceHandle.start(
-            self.leader,
-            replication_port=0,
-            heartbeat_interval=heartbeat_interval,
-        )
-        self.endpoint = self.handle.address
-        self.follower = ReplicaFollower(
-            str(tmp_path / "replica"),
-            self.handle.replication_address,
-            expect_shards=shards,
-        ).start()
-        assert self.follower.wait_applied(1, timeout=10)
 
-    def supervisor(self, **kwargs):
-        kwargs.setdefault("server_kwargs", self.server_kwargs)
-        kwargs.setdefault("probe_timeout", 0.5)
-        return ClusterSupervisor(self.endpoint, [self.follower], **kwargs)
-
-    def accept(self, attest_key, indices):
-        transport = TcpTransport([self.endpoint])
-        accepted = []
-        for i in indices:
-            signed = make_signed(attest_key, i)
-            assert transport(signed) is SubmitStatus.ACCEPTED
-            accepted.append(signed)
-        transport.close()
-        assert self.follower.wait_applied(1 + len(accepted), timeout=10)
-        return accepted
-
-    def kill_leader(self):
-        self.handle.kill()
-        self.leader.crash()
-
-    def shutdown(self, supervisor=None):
-        if supervisor is not None:
-            supervisor.shutdown()
-            if supervisor.promoted_server is not None:
-                supervisor.promoted_server.close()
-        self.follower.stop()
-        try:
-            self.handle.stop()
-        except ReportingError:
-            pass
+def accept(cluster, attest_key, indices):
+    """Send reports to the leader; wait until the follower holds them."""
+    transport = TcpTransport([cluster.leader_endpoint])
+    accepted = []
+    for i in indices:
+        signed = make_signed(attest_key, i)
+        assert transport(signed) is SubmitStatus.ACCEPTED
+        accepted.append(signed)
+    transport.close()
+    assert cluster.follower.wait_applied(1 + len(accepted), timeout=10)
+    return accepted
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +90,8 @@ class Cluster:
 
 class TestSupervisorProtocol:
     def test_healthy_leader_never_fails_over(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
-        supervisor = cluster.supervisor(miss_threshold=2)
+        cluster = make_cluster(tmp_path)
+        supervisor = cluster.supervisor
         try:
             for _ in range(5):
                 assert supervisor.tick() is False
@@ -125,13 +99,13 @@ class TestSupervisorProtocol:
             assert supervisor.misses == 0
             assert supervisor.heartbeats_seen == 5
             assert supervisor.last_health.role == "leader"
-            assert supervisor.endpoint() == cluster.endpoint
+            assert supervisor.endpoint() == cluster.leader_endpoint
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_single_miss_does_not_promote(self, tmp_path):
-        cluster = Cluster(tmp_path)
-        supervisor = cluster.supervisor(miss_threshold=3)
+        cluster = make_cluster(tmp_path)
+        supervisor = cluster.supervisor
         try:
             with active_plan(
                 FaultPlan(seed=1).arm(
@@ -146,13 +120,13 @@ class TestSupervisorProtocol:
             assert supervisor.misses == 0
             assert supervisor.failovers == 0
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_dead_leader_promotes_at_threshold(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
-        accepted = cluster.accept(attest_key, range(4))
+        cluster = make_cluster(tmp_path)
+        accepted = accept(cluster, attest_key, range(4))
         cluster.kill_leader()
-        supervisor = cluster.supervisor(miss_threshold=3)
+        supervisor = cluster.supervisor
         try:
             outcomes = [supervisor.tick() for _ in range(3)]
             assert outcomes == [False, False, True]
@@ -169,12 +143,12 @@ class TestSupervisorProtocol:
             assert transport(make_signed(attest_key, 9)) is SubmitStatus.ACCEPTED
             transport.close()
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_supervisor_crash_resets_suspicion(self, tmp_path):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         cluster.kill_leader()
-        supervisor = cluster.supervisor(miss_threshold=2)
+        supervisor = cluster.supervisor
         try:
             plan = FaultPlan(seed=2).arm(
                 "net.supervisor_crash", "raise", max_fires=1
@@ -185,14 +159,15 @@ class TestSupervisorProtocol:
                 assert supervisor.misses == 0
                 assert supervisor.tick() is False  # miss 1
                 assert supervisor.misses == 1
-                assert supervisor.tick() is True   # miss 2 -> failover
+                assert supervisor.tick() is False  # miss 2
+                assert supervisor.tick() is True   # miss 3 -> failover
             assert supervisor.failovers == 1
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_promotes_most_caught_up_follower(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
-        cluster.accept(attest_key, range(3))
+        cluster = make_cluster(tmp_path)
+        accept(cluster, attest_key, range(3))
         # A second follower that stopped early: it bootstrapped but
         # never applied the stream, so it must lose the election.
         stale = ReplicaFollower(
@@ -204,9 +179,9 @@ class TestSupervisorProtocol:
         stale.stop()
         cluster.kill_leader()
         supervisor = ClusterSupervisor(
-            cluster.endpoint,
+            cluster.leader_endpoint,
             [stale, cluster.follower],
-            server_kwargs=cluster.server_kwargs,
+            server_kwargs=SERVER_CONFIG,
             miss_threshold=1,
             probe_timeout=0.5,
         )
@@ -217,15 +192,37 @@ class TestSupervisorProtocol:
             assert transport(make_signed(attest_key, 0)) is SubmitStatus.DUPLICATE
             transport.close()
         finally:
-            cluster.shutdown(supervisor)
+            supervisor.shutdown()
+            if supervisor.promoted_server is not None:
+                supervisor.promoted_server.close()
+            cluster.shutdown()
+
+    def test_supervisors_of_different_standbys_jitter_apart(self, tmp_path):
+        def first_delay(data_dir):
+            follower = ReplicaFollower(str(data_dir), ("127.0.0.1", 1))
+            supervisor = ClusterSupervisor(("127.0.0.1", 1), [follower])
+            delays = []
+            supervisor.tick = lambda: False
+
+            def wait(delay):
+                delays.append(delay)
+                supervisor._stop_flag.set()
+
+            supervisor._stop_flag.wait = wait
+            supervisor.run()
+            return delays[0]
+
+        first = first_delay(tmp_path / "a")
+        assert first == first_delay(tmp_path / "a")  # seeded, replayable
+        assert first != first_delay(tmp_path / "b")
 
     def test_threaded_run_promotes_without_ticking_by_hand(
         self, tmp_path, attest_key
     ):
-        cluster = Cluster(tmp_path)
-        cluster.accept(attest_key, range(3))
+        cluster = make_cluster(tmp_path)
+        accept(cluster, attest_key, range(3))
         cluster.kill_leader()
-        supervisor = cluster.supervisor(miss_threshold=2, interval=0.02)
+        supervisor = cluster.supervisor
         supervisor.start()
         try:
             deadline = time.monotonic() + 20
@@ -235,7 +232,7 @@ class TestSupervisorProtocol:
                 time.sleep(0.01)
             assert supervisor.promoted_server.epoch == 1
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -247,16 +244,17 @@ class TestFencing:
     def test_partitioned_leader_is_fenced_and_redirects(
         self, tmp_path, attest_key
     ):
-        cluster = Cluster(tmp_path)
-        cluster.accept(attest_key, range(3))
-        supervisor = cluster.supervisor(miss_threshold=2)
+        cluster = make_cluster(tmp_path)
+        accept(cluster, attest_key, range(3))
+        supervisor = cluster.supervisor
         try:
             # The leader is alive but the supervisor cannot see it.
             with active_plan(
                 FaultPlan(seed=3).arm("net.heartbeat_loss", "raise")
             ):
-                assert supervisor.tick() is False
-                assert supervisor.tick() is True
+                assert [supervisor.tick() for _ in range(3)] == [
+                    False, False, True
+                ]
             assert supervisor.fenced
             assert supervisor.fences_acked == 1
             old_accepted = cluster.handle.call(
@@ -264,7 +262,7 @@ class TestFencing:
             )
             # A client still pointed at the old leader is redirected and
             # lands on the promoted one within the same call.
-            transport = TcpTransport([cluster.endpoint])
+            transport = TcpTransport([cluster.leader_endpoint])
             assert transport(make_signed(attest_key, 7)) is SubmitStatus.ACCEPTED
             assert transport.redirects == 1
             assert transport.last_epoch == supervisor.promoted_server.epoch
@@ -273,16 +271,16 @@ class TestFencing:
             assert cluster.handle.call(
                 lambda s: int(s.metrics.counter("reporting.accepted").value)
             ) == old_accepted
-            health = probe_health(cluster.endpoint)
+            health = probe_health(cluster.leader_endpoint)
             assert health.role == "fenced"
             assert health.epoch == supervisor.promoted_server.epoch
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_dropped_fence_is_retried_until_acked(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
-        cluster.accept(attest_key, range(3))
-        supervisor = cluster.supervisor(miss_threshold=1)
+        cluster = make_cluster(tmp_path)
+        accept(cluster, attest_key, range(3))
+        supervisor = cluster.supervisor
         try:
             plan = (
                 FaultPlan(seed=4)
@@ -290,22 +288,22 @@ class TestFencing:
                 .arm("net.stale_leader", "raise", max_fires=1)
             )
             with active_plan(plan):
-                assert supervisor.tick() is True   # fence eaten at the node
+                assert cluster.tick_until_promoted() == 3  # fence eaten
                 assert not supervisor.fenced
                 assert supervisor.tick() is False  # re-fence lands
             assert supervisor.fenced
             assert supervisor.fences_sent == 2
             assert supervisor.fences_acked == 1
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
     def test_stale_fence_cannot_demote_a_newer_epoch(self, tmp_path):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         try:
-            assert send_fence(cluster.endpoint, 5, "127.0.0.1:1111") is True
+            assert send_fence(cluster.leader_endpoint, 5, "127.0.0.1:1111") is True
             # A delayed fence from an older failover bounces off.
-            assert send_fence(cluster.endpoint, 2, "127.0.0.1:2222") is False
-            health = probe_health(cluster.endpoint)
+            assert send_fence(cluster.leader_endpoint, 2, "127.0.0.1:2222") is False
+            health = probe_health(cluster.leader_endpoint)
             assert health.epoch == 5
             assert health.endpoint == "127.0.0.1:1111"
         finally:
@@ -319,10 +317,10 @@ class TestFencing:
 
 class TestClientFailover:
     def test_endpoint_list_rotates_past_dead_nodes(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         try:
             dead = ("127.0.0.1", 1)  # reserved port: connection refused
-            transport = TcpTransport([dead, cluster.endpoint])
+            transport = TcpTransport([dead, cluster.leader_endpoint])
             # First call fails over to the live endpoint on retry.
             with pytest.raises(TransportError):
                 transport(make_signed(attest_key, 0))
@@ -332,24 +330,26 @@ class TestClientFailover:
             cluster.shutdown()
 
     def test_callable_endpoint_follows_supervisor(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
-        cluster.accept(attest_key, range(2))
+        cluster = make_cluster(tmp_path)
+        accept(cluster, attest_key, range(2))
         cluster.kill_leader()
-        supervisor = cluster.supervisor(miss_threshold=1)
+        supervisor = cluster.supervisor
         try:
-            assert supervisor.tick() is True
-            transport = TcpTransport(supervisor.endpoint)
+            assert cluster.tick_until_promoted() == 3
+            assert cluster.endpoint() == supervisor.promoted_handle.address
+            transport = TcpTransport(cluster.endpoint)
             assert transport(make_signed(attest_key, 5)) is SubmitStatus.ACCEPTED
             transport.close()
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
+        cluster.shutdown()  # idempotent
 
     def test_spooled_backlog_drains_through_redirect_exactly_once(
         self, tmp_path, attest_key
     ):
         """Regression: a spooled client re-routed by NOT_LEADER must not
         double-deliver any (device, nonce) pair."""
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         target = {"addr": ("127.0.0.1", 1)}  # dead while spooling
         transport = TcpTransport(lambda: target["addr"])
         client = ReportClient(
@@ -359,7 +359,7 @@ class TestClientFailover:
             max_attempts=2,
             base_backoff=0.0,
         )
-        supervisor = cluster.supervisor(miss_threshold=1)
+        supervisor = cluster.supervisor
         try:
             backlog = []
             for i in range(6):
@@ -375,9 +375,9 @@ class TestClientFailover:
             with active_plan(
                 FaultPlan(seed=5).arm("net.heartbeat_loss", "raise")
             ):
-                assert supervisor.tick() is True
+                assert cluster.tick_until_promoted() == 3
             assert supervisor.fenced
-            target["addr"] = cluster.endpoint  # client still knows the OLD leader
+            target["addr"] = cluster.leader_endpoint  # client still knows the OLD leader
             assert client.flush() == 6
             assert client.spooled == 0
             accepted = supervisor.promoted_handle.call(
@@ -399,7 +399,7 @@ class TestClientFailover:
             resend.close()
             transport.close()
         finally:
-            cluster.shutdown(supervisor)
+            cluster.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +482,9 @@ class TestServiceHandleLifecycle:
 
 class TestWaitApplied:
     def test_wakes_promptly_on_apply(self, tmp_path, attest_key):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         try:
-            transport = TcpTransport([cluster.endpoint])
+            transport = TcpTransport([cluster.leader_endpoint])
             woke = {}
 
             def waiter():
@@ -502,7 +502,7 @@ class TestWaitApplied:
             cluster.shutdown()
 
     def test_timeout_returns_false(self, tmp_path):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         try:
             started = time.monotonic()
             assert cluster.follower.wait_applied(10_000, timeout=0.2) is False
@@ -511,7 +511,7 @@ class TestWaitApplied:
             cluster.shutdown()
 
     def test_stop_wakes_waiters(self, tmp_path):
-        cluster = Cluster(tmp_path)
+        cluster = make_cluster(tmp_path)
         try:
             woke = {}
 
@@ -529,7 +529,7 @@ class TestWaitApplied:
             cluster.shutdown()
 
     def test_heartbeats_do_not_count_as_applies(self, tmp_path):
-        cluster = Cluster(tmp_path, heartbeat_interval=0.02)
+        cluster = make_cluster(tmp_path, heartbeat_interval=0.02)
         try:
             deadline = time.monotonic() + 20
             while cluster.follower.heartbeats < 3:
@@ -567,6 +567,12 @@ class TestFailoverChaosSmoke:
             assert trial.verdict == "takedown"
             assert trial.duplicates_after == trial.accepted_before
         assert run_failover_chaos(config).digest() == report.digest()
+        payload = json.loads(json.dumps(report.to_dict()))
+        assert payload == report.to_dict()
+        assert [t["offender"] for t in payload["trials"]] == [
+            t.offender for t in report.trials
+        ]
+        assert all(t["offender"] == PIRATE for t in payload["trials"])
 
 
 class TestSupervisedFleet:
@@ -580,20 +586,10 @@ class TestSupervisedFleet:
             target_reports=60, transport="tcp",
             data_dir=str(tmp_path / "leader"),
             replica_dir=str(tmp_path / "replica"),
-            failover_after_batch=1, supervised=True,
+            failover_after_batch=1,
         )
         result = run_fleet(APP, ORIGINAL, model, config)
         assert result.recoveries == 1
         assert result.failover_epoch == 1
         assert result.verdict.value == "takedown"
         assert result.statuses.get("accepted", 0) > 0
-
-    def test_supervised_requires_failover_batch(self):
-        model = OutcomeModel(
-            report_rate=0.0, observed_key_hex="", bad_experience_rate=0.0
-        )
-        with pytest.raises(ReportingError, match="supervised"):
-            run_fleet(
-                APP, ORIGINAL, model,
-                FleetConfig(devices=10, batch_size=10, supervised=True),
-            )
