@@ -40,11 +40,12 @@ def profile_hot_methods(
     """Play ``events`` against ``runtime`` and split hot vs candidate.
 
     Methods never invoked during profiling count as cold (0 invocations).
-    The top ``top_fraction`` *by invocation count* are hot; ties at the
-    boundary are resolved toward marking more methods hot (safer for
-    overhead).  Crashing events are tolerated -- random streams do hit
-    guard rails.  ``on_event(index, runtime)`` fires after each event;
-    the field-entropy profiler samples through it.
+    The top ``ceil(n * top_fraction)`` of the ``n`` methods *by
+    invocation count* are hot, so ``top_fraction=0.0`` marks none; ties
+    at the boundary go to the alphabetically first names.  Crashing
+    events are tolerated -- random streams do hit guard rails.
+    ``on_event(index, runtime)`` fires after each event; the
+    field-entropy profiler samples through it.
     """
     tracer = CountingTracer()
     runtime.add_tracer(tracer)
@@ -64,7 +65,7 @@ def profile_hot_methods(
     app_methods = [m.qualified_name for m in runtime.app_dex.iter_methods()]
     counts = {name: tracer.invocations.get(name, 0) for name in app_methods}
 
-    hot_count = max(1, math.ceil(len(app_methods) * top_fraction)) if app_methods else 0
+    hot_count = math.ceil(len(app_methods) * top_fraction)
     by_heat = sorted(app_methods, key=lambda name: (-counts[name], name))
     hot = {name for name in by_heat[:hot_count] if counts[name] > 0}
     candidates = [name for name in by_heat if name not in hot]

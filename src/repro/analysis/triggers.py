@@ -240,7 +240,12 @@ def _join_val(a: AbsVal, b: AbsVal) -> AbsVal:
 
 
 def _join_state(a: Tuple[AbsVal, ...], b: Tuple[AbsVal, ...]) -> Tuple[AbsVal, ...]:
-    return tuple(_join_val(x, y) for x, y in zip(a, b))
+    # ``_join_val(x, x)`` equals ``x`` unless the constant is not equal
+    # to itself (NaN), which the join drops.  ``x == y`` is no shortcut:
+    # ``(t, 1) == (t, True)`` but their join is ``(t, None)``.
+    return tuple([
+        x if x is y and x[1] == x[1] else _join_val(x, y) for x, y in zip(a, b)
+    ])
 
 
 @dataclass
@@ -486,16 +491,38 @@ def _direct_sinks(method: DexMethod) -> List[Tuple[str, float]]:
     return out
 
 
-def compute_summaries(dex: DexFile) -> Dict[str, MethodSummary]:
-    """Interprocedural fixpoint: return taint + reachable-sink weights."""
-    methods = {m.qualified_name: m for m in dex.iter_methods()}
-    summaries = {name: MethodSummary() for name in methods}
+def compute_summaries(
+    dex: DexFile, roots: Optional[Iterable[str]] = None
+) -> Dict[str, MethodSummary]:
+    """Interprocedural fixpoint: return taint + reachable-sink weights.
 
-    callees: Dict[str, Set[str]] = {name: set() for name in methods}
-    for name, method in methods.items():
-        for instr in method.instructions:
-            if instr.op is Op.INVOKE and instr.value in methods:
-                callees[name].add(instr.value)
+    When callees reach equal sink weights, the first callee (in call
+    order) to propagate its weight keeps the ``sink_name``.
+
+    ``roots`` restricts the fixpoint to those methods and their
+    transitive callees.  Every summary it returns equals the whole-dex
+    one: a method's summary reads only its callees' summaries, so each
+    pass computes the same values for the closure, in the same order.
+    """
+    methods = {m.qualified_name: m for m in dex.iter_methods()}
+    callees: Dict[str, List[str]] = {
+        name: list(dict.fromkeys(
+            instr.value
+            for instr in method.instructions
+            if instr.op is Op.INVOKE and instr.value in methods
+        ))
+        for name, method in methods.items()
+    }
+    if roots is not None:
+        closure: Set[str] = set()
+        work = [name for name in roots if name in methods]
+        while work:
+            name = work.pop()
+            if name not in closure:
+                closure.add(name)
+                work.extend(callees[name])
+        methods = {name: m for name, m in methods.items() if name in closure}
+    summaries = {name: MethodSummary() for name in methods}
 
     # Sink reachability (monotone, attenuated by depth).
     for name, method in methods.items():
@@ -711,9 +738,17 @@ def analyze_dex(dex: DexFile, min_score: float = 2.0) -> TriggerScan:
     Findings below ``min_score`` are dropped; survivors are ranked by
     descending score.
     """
-    summaries = compute_summaries(dex)
+    return scan_methods(dex.iter_methods(), compute_summaries(dex), min_score)
+
+
+def scan_methods(
+    methods: Iterable[DexMethod],
+    summaries: Dict[str, MethodSummary],
+    min_score: float = 2.0,
+) -> TriggerScan:
+    """:func:`analyze_dex` over ``methods`` only, given their summaries."""
     scan = TriggerScan()
-    for method in dex.iter_methods():
+    for method in methods:
         scan.methods_scanned += 1
         try:
             findings, opaque, classified = analyze_method(method, summaries)

@@ -147,7 +147,10 @@ def _join(a: RegType, b: RegType) -> RegType:
 
 
 def _join_states(a: RegState, b: RegState) -> RegState:
-    return tuple(_join(x, y) for x, y in zip(a, b))
+    # ``_join(x, x) is x`` for every RegType, so equal inputs join to ``a``.
+    if a == b:
+        return a
+    return tuple([x if x is y else _join(x, y) for x, y in zip(a, b)])
 
 
 class _MethodVerifier:

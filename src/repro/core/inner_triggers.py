@@ -101,10 +101,17 @@ def _group_measure(name: str, group: Sequence[Constraint], require_all: bool) ->
     domain = ENV_DOMAINS[name]
     combine = all if require_all else any
     if isinstance(domain, IntDomain):
+        # Every ``_holds`` is constant between consecutive cut points,
+        # so one test at each segment's start counts the whole segment.
+        end = domain.hi + 1
+        cuts = {domain.lo, end}
+        for c in group:
+            cuts.update((c.value, c.value + 1))
+        points = sorted(p for p in cuts if domain.lo <= p <= end)
         hits = sum(
-            1
-            for value in range(domain.lo, domain.hi + 1)
-            if combine(_holds(c, value) for c in group)
+            stop - start
+            for start, stop in zip(points, points[1:])
+            if combine(_holds(c, start) for c in group)
         )
         return hits / domain.size
     total = sum(weight for _, weight in domain.choices)

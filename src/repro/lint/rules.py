@@ -553,15 +553,20 @@ def check_hso_localizable(ctx: "LintContext") -> Iterator[Diagnostic]:
     to the encrypted triggers.  If a finding lands inside (or on the
     guard of) a recovered bomb site, the protected app fails its own
     strongest static adversary and must not ship.
+
+    Only findings in a site's host method can count, so only the hosts
+    are scanned, over the summaries of their callee closure; the
+    findings are exactly the whole-dex scan's findings in those methods.
     """
     sites = ctx.sites()
     if not sites:
         return  # nothing protected, nothing to localize
     # Imported at call time: triggers sits above the dex model only,
     # but keeping lint import-light mirrors the engine's verifier import.
-    from repro.analysis.triggers import analyze_dex
+    from repro.analysis.triggers import compute_summaries, scan_methods
 
-    scan = analyze_dex(ctx.dex)
+    hosts = {site.method.qualified_name: site.method for site in sites}
+    scan = scan_methods(hosts.values(), compute_summaries(ctx.dex, roots=hosts))
     for finding in scan.findings:
         for site in sites:
             if finding.method != site.method.qualified_name:

@@ -465,3 +465,38 @@ class TestVerifierCfgReachabilityAgreement:
             if diag.rule == "unreachable-code" and diag.span:
                 verifier_dead.update(range(diag.span[0], diag.span[1]))
         assert cfg_dead == verifier_dead
+
+
+class TestHotMethodProfile:
+    """``profile_hot_methods``: how many methods are hot, and which."""
+
+    SOURCE = (
+        ".class A\n.method on_back 0\n"
+        "invoke r0, A.c\ninvoke r0, A.b\ninvoke r0, A.a\nreturn_void\n.end\n"
+        + "".join(f".method {name} 0\nreturn_void\n.end\n" for name in "abcd")
+    )
+
+    def _profile(self, top_fraction):
+        from repro.analysis.profiler import profile_hot_methods
+        from repro.dex import assemble
+        from repro.vm.events import Event, EventKind
+
+        events = [Event(EventKind.BACK, "A")] * 3
+        return profile_hot_methods(
+            Runtime(assemble(self.SOURCE)), events, top_fraction=top_fraction
+        )
+
+    def test_zero_fraction_marks_no_method_hot(self):
+        profile = self._profile(0.0)
+        assert profile.hot_methods == set()
+        assert profile.candidate_methods == ["A.a", "A.b", "A.c", "A.d", "A.on_back"]
+
+    @pytest.mark.parametrize(
+        "top_fraction, hot",
+        [(0.2, {"A.a"}), (0.5, {"A.a", "A.b", "A.c"})],
+    )
+    def test_boundary_ties_go_to_the_first_names(self, top_fraction, hot):
+        # on_back, a, b and c are all invoked three times.
+        profile = self._profile(top_fraction)
+        assert set(profile.invocation_counts.values()) == {0, 3}
+        assert profile.hot_methods == hot

@@ -1,9 +1,15 @@
 """The static trigger (HSO) detector: predicates, taint, scoring."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 from repro.analysis.triggers import (
     HsoFinding,
     PredicateKind,
     TriggerScan,
+    _join_state,
     analyze_dex,
     analyze_method,
     compute_summaries,
@@ -176,6 +182,26 @@ class TestPredicateClassification:
         assert classified == 1
 
 
+class TestJoin:
+    def test_int_and_bool_constants_join_to_unknown(self):
+        # Equal as values, yet the join keeps a constant only when both
+        # sides have the same type.
+        tags = frozenset({"field"})
+        one, true = (tags, 1), (tags, True)
+        assert one == true
+        assert _join_state((one,), (true,)) == ((tags, None),)
+
+    def test_nan_constant_is_dropped_even_from_one_object(self):
+        value = (frozenset({"random"}), float("nan"))
+        ((tags, const),) = _join_state((value,), (value,))
+        assert tags == value[0] and const is None
+
+    def test_identical_values_join_to_themselves(self):
+        value = (frozenset({"hash"}), "abc")
+        other = (frozenset({"env.time"}), None)
+        assert _join_state((value, other), (value, other)) == (value, other)
+
+
 class TestInterprocedural:
     def test_return_taint_flows_through_helper(self):
         helper = method_of(
@@ -247,6 +273,42 @@ class TestInterprocedural:
         assert "env.time" in summaries["A.clock"].return_tags
         assert summaries["A.phone_home"].sink_name == "android.net.report"
         assert summaries["A.phone_home"].sink_weight == 4.0
+
+    def test_equal_weight_sinks_resolve_to_the_first_callee(self):
+        # Six helpers reach three equally weighted pm.* sinks.  Callee
+        # order used to follow set iteration, so the representative
+        # sink changed with PYTHONHASHSEED; the first callee must win.
+        script = textwrap.dedent(
+            """
+            from repro.analysis.triggers import compute_summaries
+            from repro.dex import DexClass, DexFile, assemble_method
+
+            sinks = ["get_method_hash", "get_public_key", "get_manifest_digest"]
+            dex = DexFile()
+            cls = dex.add_class(DexClass(name="A"))
+            calls = "\\n".join(f"invoke r1, A.h{i}" for i in range(6))
+            cls.add_method(assemble_method(
+                calls + "\\nreturn_void", class_name="A", name="main"
+            ))
+            for i in range(6):
+                cls.add_method(assemble_method(
+                    f"invoke r1, android.pm.{sinks[i % 3]}\\nreturn_void",
+                    class_name="A", name=f"h{i}",
+                ))
+            summary = compute_summaries(dex)["A.main"]
+            print(summary.sink_name, summary.sink_weight, summary.sink_depth)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        seen = set()
+        for seed in range(8):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            seen.add(out.stdout.strip())
+        assert seen == {"android.pm.get_method_hash 3.0 1"}
 
 
 class TestScoring:

@@ -7,7 +7,14 @@ weave would otherwise surface as crashes on user devices.
 
 import pytest
 
-from repro.analysis.verifier import VERIFIER_RULES, verify_dex, verify_method
+from repro.analysis.verifier import (
+    VERIFIER_RULES,
+    RegType,
+    _join,
+    _join_states,
+    verify_dex,
+    verify_method,
+)
 from repro.core.instrumenter import MethodEditor
 from repro.dex import assemble, assemble_method
 from repro.dex.instructions import Instr, const
@@ -136,6 +143,21 @@ class TestStaleLabelCache:
         method = self._assembled()
         method.resolve("out")  # warm cache matching the instruction list
         assert verify_method(method) == []
+
+
+class TestJoin:
+    def test_equal_states_join_to_the_first(self):
+        state = (RegType.INT, RegType.MAYBE_UNINIT, RegType.VALUE)
+        assert _join_states(state, tuple(state)) is state
+
+    @pytest.mark.parametrize("x", list(RegType))
+    @pytest.mark.parametrize("y", list(RegType))
+    def test_register_join_matches_the_lattice(self, x, y):
+        assert _join(x, x) is x
+        assert _join_states((x, RegType.INT), (y, RegType.INT)) == (
+            _join(x, y),
+            RegType.INT,
+        )
 
 
 class TestDataflow:

@@ -10,12 +10,14 @@ from repro.core.inner_triggers import (
     Connective,
     Constraint,
     InnerCondition,
+    _group_measure,
+    _holds,
     build_inner_condition,
 )
 from repro.dex import DexClass, DexFile
 from repro.dex.builder import MethodBuilder
 from repro.vm import DevicePopulation, Runtime
-from repro.vm.device import attacker_lab_profiles
+from repro.vm.device import ENV_DOMAINS, IntDomain, attacker_lab_profiles
 
 
 def evaluate_compiled(condition: InnerCondition, device) -> bool:
@@ -74,6 +76,38 @@ class TestConstraintMath:
         no = Constraint("build.manufacturer", CmpOp.EQ, "samsung")
         assert yes.evaluate(device)
         assert not no.evaluate(device)
+
+
+INT_DOMAINS = sorted(n for n, d in ENV_DOMAINS.items() if isinstance(d, IntDomain))
+
+
+@st.composite
+def int_groups(draw):
+    """One int variable and 1-4 constraints on it, values up to 3
+    outside its domain."""
+    name = draw(st.sampled_from(INT_DOMAINS))
+    domain = ENV_DOMAINS[name]
+    constraint = st.builds(
+        Constraint,
+        st.just(name),
+        st.sampled_from(list(CmpOp)),
+        st.integers(min_value=domain.lo - 3, max_value=domain.hi + 3),
+    )
+    return name, draw(st.lists(constraint, min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group=int_groups(), require_all=st.booleans())
+def test_group_measure_equals_enumeration(group, require_all):
+    name, constraints = group
+    domain = ENV_DOMAINS[name]
+    combine = all if require_all else any
+    hits = sum(
+        1
+        for value in range(domain.lo, domain.hi + 1)
+        if combine(_holds(c, value) for c in constraints)
+    )
+    assert _group_measure(name, constraints, require_all) == hits / domain.size
 
 
 class TestGenerator:
