@@ -10,6 +10,7 @@ Components:
                  ``java.*`` and the ``bomb.*`` helpers)
 ``dispatch``     the dispatch-table compiler (superinstruction fusion,
                  inline-cache call sites) behind the interpreter
+``tier2``        warm methods compiled to one Python function each
 ``interpreter``  the bytecode interpreter with tracing hooks
 ``sessions``     ExecutionContext/SessionResult (the session API) and
                  the batched real-play-session engine

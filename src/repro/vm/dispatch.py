@@ -122,11 +122,16 @@ class _Frame:
 
 
 class CompiledMethod:
-    """One method, compiled: step closures plus tracer-fidelity maps."""
+    """One method, compiled: step closures plus tracer-fidelity maps.
+
+    ``warmth`` counts the instructions its untraced frames ran on the
+    step table; ``tier2`` is the method's tier-2 function once it is
+    warm (:mod:`repro.vm.tier2`).
+    """
 
     __slots__ = (
         "steps", "orig_pcs", "orig_instrs", "count", "cell_count",
-        "fused_units", "exhausted",
+        "fused_units", "exhausted", "warmth", "tier2",
     )
 
     def __init__(self, steps, orig_pcs, orig_instrs, cell_count, fused_units, exhausted):
@@ -137,6 +142,8 @@ class CompiledMethod:
         self.cell_count = cell_count      # inline-cache cells (one per INVOKE site)
         self.fused_units = fused_units    # superinstruction count (introspection)
         self.exhausted = exhausted        # precomputed BudgetExhausted message
+        self.warmth = 0
+        self.tier2 = None
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +198,14 @@ def _call(frame, name, call_args, cell):
 # ---------------------------------------------------------------------------
 
 
-def _wrap32(v):
-    v &= _MASK
-    return v - _WRAP if v > _INT32_MAX else v
+def _cmp_unordered(left, right) -> VMCrash:
+    return VMCrash(
+        f"cmp: cannot order {type(left).__name__} and {type(right).__name__}"
+    )
+
+
+def _switch_unhashable(key) -> VMCrash:
+    return VMCrash(f"switch: unhashable key of type {type(key).__name__}")
 
 
 def _build_single(instr, pc, nxt, C):
@@ -433,7 +445,10 @@ def _build_single(instr, pc, nxt, C):
         def step(regs, frame, dst=dst, a=a, b=b, nxt=nxt):
             left = regs[a]
             right = regs[b]
-            regs[dst] = (left > right) - (left < right)
+            try:
+                regs[dst] = (left > right) - (left < right)
+            except TypeError:
+                raise _cmp_unordered(left, right) from None
             return nxt
         return step
 
@@ -453,7 +468,10 @@ def _build_single(instr, pc, nxt, C):
             key = regs[a]
             if type(key) is bool:
                 key = int(key)
-            dest = table.get(key)
+            try:
+                dest = table.get(key)
+            except TypeError:
+                raise _switch_unhashable(key) from None
             tr = frame.tracer
             if tr is not None:
                 tr.on_branch(frame.method, pc, instr, dest is not None)

@@ -1,7 +1,8 @@
 """The bytecode interpreter.
 
 A register machine executing dispatch-table-compiled method bodies
-(see :mod:`repro.vm.dispatch`), with:
+(see :mod:`repro.vm.dispatch`); an untraced frame of a warm method runs
+as one generated Python function instead (:mod:`repro.vm.tier2`).  With:
 
 * 32-bit wrapped integer arithmetic;
 * label-based branching (resolved to table indices at compile time);
@@ -31,6 +32,7 @@ from typing import Dict, List
 from repro.chaos.faults import fault_point
 from repro.dex.model import DexMethod
 from repro.errors import BudgetExhausted, VMCrash
+from repro.vm import tier2
 from repro.vm.dispatch import _Frame, compile_method
 from repro.vm.sessions import ExecutionContext
 
@@ -145,7 +147,9 @@ class Interpreter:
         try:
             return self.execute(method, args, sub, depth=1)
         finally:
-            budget[0] -= cap - sub.budget[0]
+            # An exhausted sub-cell rests at -1; charge what ran (as
+            # ExecutionContext.consumed clamps), not one more.
+            budget[0] -= cap - max(sub.budget[0], 0)
 
     def execute(self, method: DexMethod, args: List, ctx: ExecutionContext, depth: int = 0):
         """Execute ``method`` with ``args`` under ``ctx``; returns its
@@ -168,8 +172,14 @@ class Interpreter:
         if cells is None:
             cells = [None] * code.cell_count
             self._cells[code] = cells
-        frame = _Frame(self, runtime, method, tracer, ctx, ctx.budget, depth, cells)
         budget = ctx.budget
+        frame = _Frame(self, runtime, method, tracer, ctx, budget, depth, cells)
+        if tracer is None:
+            fast = code.tier2
+            if fast is None and code.warmth >= tier2.WARM_INSTRUCTIONS:
+                fast = tier2.compile_tier2(method, code)
+            if fast is not None:
+                return fast(registers, frame, budget)
         steps = code.steps
         count = code.count
         exhausted = code.exhausted
@@ -199,6 +209,8 @@ class Interpreter:
                     i = steps[i](registers, frame)
         finally:
             runtime.cost_units += cost
+            if tracer is None:
+                code.warmth += cost
         if i >= 0:
             raise VMCrash(
                 f"{method.qualified_name}: control fell off the end of the method"

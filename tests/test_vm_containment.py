@@ -18,6 +18,7 @@ from repro.dex import assemble, instructions as ins
 from repro.dex.serializer import serialize_dex
 from repro.errors import (
     BadPaddingError,
+    BudgetExhausted,
     CryptoError,
     DexFormatError,
     PayloadError,
@@ -71,6 +72,20 @@ class TestPolicyPrimitives:
         array = [7, 99, 42]
         assert fall_through(array) is array
         assert array == [7, CONTROL_FALLTHROUGH, 42]
+
+
+class TestPayloadSubBudget:
+    def test_exhausted_payload_charges_the_host_what_it_ran(self):
+        runtime = Runtime(assemble(".class P\n.method spin 0\n@top:\ngoto @top\n.end"))
+        ctx = runtime.session(budget=100)
+        with pytest.raises(BudgetExhausted):
+            runtime.interpreter.execute_payload(
+                runtime.find_method("P.spin"), [], ctx,
+                ContainmentPolicy(payload_budget=10),
+            )
+        assert runtime.cost_units == 10
+        assert ctx.consumed == 10
+        assert ctx.remaining == 90
 
 
 class TestDecryptContainment:

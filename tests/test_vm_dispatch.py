@@ -5,7 +5,8 @@ pre-dispatch-table loop, which survives verbatim as the test-only
 :class:`tests.vm_reference.ReferenceInterpreter`.  Every test here runs
 the same program under both interpreters and compares return values,
 instruction counts, cost units, bomb statistics, tracer event streams
-and error behavior.
+and error behavior.  The ``_warm`` variants run every untraced frame on
+tier-2 (:mod:`repro.vm.tier2`) from the method's first call.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.dex import assemble, instructions as ins
 from repro.dex.opcodes import Op
 from repro.errors import BudgetExhausted, VMError
 from repro.fuzzing import DynodroidGenerator
-from repro.vm import Runtime
+from repro.vm import Runtime, tier2
 from repro.vm.interpreter import Tracer
 from tests.vm_reference import ReferenceInterpreter, reference_runtime
 
@@ -77,6 +78,22 @@ FUSION_APP = """
 """
 
 
+@pytest.fixture
+def warm(monkeypatch):
+    """Compile every method to tier-2 on its first untraced frame;
+    returns the list of qualified names compiled, in order."""
+    compiled = []
+    real = tier2.compile_tier2
+
+    def spy(method, code):
+        compiled.append(method.qualified_name)
+        return real(method, code)
+
+    monkeypatch.setattr(tier2, "WARM_INSTRUCTIONS", 0)
+    monkeypatch.setattr(tier2, "compile_tier2", spy)
+    return compiled
+
+
 class RecordingTracer(Tracer):
     """Captures the full hook stream as comparable tuples."""
 
@@ -133,24 +150,40 @@ def _play(apk, engine, seed=7, events=120, budget=200_000, trace=False):
     return outcomes, _observables(runtime), recorder.stream
 
 
+def _protected_app_identical(apk):
+    ref_out, ref_obs, _ = _play(apk, "reference")
+    tab_out, tab_obs, _ = _play(apk, "table")
+    assert tab_out == ref_out
+    assert tab_obs == ref_obs
+    assert ref_obs["bomb_counts"]  # the stream actually hit bombs
+
+
+def _pirated_app_identical(apk):
+    ref_out, ref_obs, _ = _play(apk, "reference", seed=8, events=150)
+    tab_out, tab_obs, _ = _play(apk, "table", seed=8, events=150)
+    assert tab_out == ref_out
+    assert tab_obs == ref_obs
+    assert ref_obs["detections"]  # at least one bomb fired
+
+
 class TestDifferentialCorpus:
     def test_protected_app_identical(self, protected_apk):
         """Genuine protected app: bombs evaluate but never detonate --
         both engines must agree on every observable."""
-        ref_out, ref_obs, _ = _play(protected_apk, "reference")
-        tab_out, tab_obs, _ = _play(protected_apk, "table")
-        assert tab_out == ref_out
-        assert tab_obs == ref_obs
-        assert ref_obs["bomb_counts"]  # the stream actually hit bombs
+        _protected_app_identical(protected_apk)
+
+    def test_protected_app_identical_warm(self, protected_apk, warm):
+        _protected_app_identical(protected_apk)
+        assert warm
 
     def test_pirated_app_identical(self, pirated_apk):
         """Repackaged build: detonations, responses, reports -- the
         interesting half of the semantics."""
-        ref_out, ref_obs, _ = _play(pirated_apk, "reference", seed=8, events=150)
-        tab_out, tab_obs, _ = _play(pirated_apk, "table", seed=8, events=150)
-        assert tab_out == ref_out
-        assert tab_obs == ref_obs
-        assert ref_obs["detections"]  # at least one bomb fired
+        _pirated_app_identical(pirated_apk)
+
+    def test_pirated_app_identical_warm(self, pirated_apk, warm):
+        _pirated_app_identical(pirated_apk)
+        assert any(name.startswith("Bomb$") for name in warm)  # payloads too
 
     def test_tracer_streams_identical(self, protected_apk):
         """on_instr / on_branch / on_invoke fire with the same payloads
@@ -184,19 +217,30 @@ def _probe(runtime, name, args, budget):
                 runtime.cost_units - before)
 
 
+def _every_budget_boundary_matches():
+    ref, tab = _runtimes()
+    full = _probe(ref, "F.spin", [6], 10_000)
+    assert full[0] == "ok"
+    ceiling = full[2] + 2
+    for budget in range(1, ceiling):
+        assert _probe(tab, "F.spin", [6], budget) == _probe(
+            ref, "F.spin", [6], budget
+        ), f"diverged at budget={budget}"
+    return tab
+
+
 class TestFusionBoundaries:
     def test_every_budget_boundary_matches(self):
         """Exhaust the budget at every possible instruction boundary --
         including mid-superinstruction -- and require identical error
         type, message, instruction count and cost on both engines."""
-        ref, tab = _runtimes()
-        full = _probe(ref, "F.spin", [6], 10_000)
-        assert full[0] == "ok"
-        ceiling = full[2] + 2
-        for budget in range(1, ceiling):
-            assert _probe(tab, "F.spin", [6], budget) == _probe(
-                ref, "F.spin", [6], budget
-            ), f"diverged at budget={budget}"
+        _every_budget_boundary_matches()
+
+    def test_every_budget_boundary_matches_warm(self, warm):
+        """The same on tier-2, where the budget is charged per block."""
+        tab = _every_budget_boundary_matches()
+        for name in ("F.spin", "F.helper"):
+            assert tab.find_method(name)._compiled.tier2 is not None
 
     def test_fused_method_results_match(self):
         ref, tab = _runtimes()
@@ -214,6 +258,23 @@ class TestFusionBoundaries:
         _, tab = _runtimes()
         with pytest.raises(BudgetExhausted, match="F.spin"):
             tab.session(budget=5).run(tab.find_method("F.spin"), [100])
+
+
+def _method_editor_rewrite_invalidates():
+    ref, tab = _runtimes()
+    assert _probe(tab, "F.helper", [5], 1_000) == _probe(ref, "F.helper", [5], 1_000)
+    for r in (ref, tab):
+        method = r.find_method("F.helper")
+        assert method._compiled is not None or isinstance(
+            r.interpreter, ReferenceInterpreter
+        )
+        editor = MethodEditor(method, label_ns="t")
+        editor.splice(0, 0, [ins.binop_lit(Op.ADD_LIT, 0, 0, 100)])
+        assert method._compiled is None
+    rewritten = [_probe(r, "F.helper", [5], 1_000) for r in (ref, tab)]
+    assert rewritten[0] == rewritten[1]
+    assert rewritten[0][1] == repr((5 + 100) * 3 + 2)
+    return tab
 
 
 class TestInlineCaches:
@@ -241,19 +302,13 @@ class TestInlineCaches:
         """The code-instrumentation path (MethodEditor.splice ->
         method.invalidate()) must drop the compiled body so the next run
         executes the rewritten bytecode."""
-        ref, tab = _runtimes()
-        assert _probe(tab, "F.helper", [5], 1_000) == _probe(ref, "F.helper", [5], 1_000)
-        for r in (ref, tab):
-            method = r.find_method("F.helper")
-            assert method._compiled is not None or isinstance(
-                r.interpreter, ReferenceInterpreter
-            )
-            editor = MethodEditor(method, label_ns="t")
-            editor.splice(0, 0, [ins.binop_lit(Op.ADD_LIT, 0, 0, 100)])
-            assert method._compiled is None
-        rewritten = [_probe(r, "F.helper", [5], 1_000) for r in (ref, tab)]
-        assert rewritten[0] == rewritten[1]
-        assert rewritten[0][1] == repr((5 + 100) * 3 + 2)
+        _method_editor_rewrite_invalidates()
+
+    def test_method_editor_rewrite_invalidates_compiled_body_warm(self, warm):
+        """invalidate() drops the tier-2 function with the step table."""
+        tab = _method_editor_rewrite_invalidates()
+        assert warm.count("F.helper") == 2  # compiled again after the edit
+        assert tab.find_method("F.helper")._compiled.tier2 is not None
 
     def test_direct_invalidate_clears_compiled(self):
         _, tab = _runtimes()

@@ -139,6 +139,28 @@ class TestControlFlow:
         assert run_main(body, args=[None], params=1)[0] == 1
         assert run_main(body, args=["x"], params=1)[0] == 0
 
+    @pytest.mark.parametrize("left", ["a", None])
+    def test_cmp_of_unordered_operands_crashes(self, left):
+        with pytest.raises(VMCrash, match="cmp: cannot order"):
+            run_main("cmp r2, r0, r1\nreturn r2", args=[left, 1], params=2)
+
+    def test_cmp_of_two_strings_orders_them(self):
+        body = "cmp r2, r0, r1\nreturn r2"
+        assert run_main(body, args=["a", "b"], params=2)[0] == -1
+        assert run_main(body, args=["b", "b"], params=2)[0] == 0
+
+    def test_switch_on_array_crashes(self):
+        body = """
+            const r0, 2
+            new_array r1, r0
+            switch r1, {1 -> @one}
+            return r0
+        @one:
+            return r1
+        """
+        with pytest.raises(VMCrash, match="switch: unhashable key of type list"):
+            run_main(body)
+
     def test_throw_carries_message(self):
         with pytest.raises(VMCrash, match="boom"):
             run_main('const r0, "boom"\nthrow r0')

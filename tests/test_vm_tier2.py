@@ -1,0 +1,313 @@
+"""Generated-program differential: tier-2 against the reference VM.
+
+Hypothesis draws methods with branches, loops, switches, arrays, string
+calls, helper invokes, jumps to undefined labels and operands that fail
+type checks at run time (parameters of any type reach every opcode).
+Every method runs on tier-2 from its first call and on the test-only
+reference loop (``tests/vm_reference.py``) at every budget from 1 to
+the full run, and both must agree on the result or exception (type and
+message), the instructions consumed, the cost units and the statics.
+"""
+
+from __future__ import annotations
+
+import copy
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.analysis.verifier import verify_method
+from repro.dex import assemble, assemble_method, instructions as ins
+from repro.dex.builder import MethodBuilder
+from repro.dex.instructions import Instr
+from repro.dex.model import DexMethod
+from repro.dex.opcodes import Op
+from repro.lint.diagnostics import errors
+from repro.vm import Runtime, tier2
+from tests.vm_reference import reference_runtime
+
+HELPERS = """
+.class G
+.field si static 0
+.field ss static "s"
+.method inc 1
+    add_lit r1, r0, 1
+    return r1
+.end
+.method count 1
+    const r1, 0
+@top:
+    if_ge r1, r0, @done
+    add_lit r1, r1, 1
+    goto @top
+@done:
+    return r1
+.end
+"""
+
+#: Budget of the full run; looping programs exhaust it.
+FULL = 200
+
+#: Label that is placed while building, then deleted: jumps to it hit
+#: an undefined label at run time.
+GONE = "gone"
+
+INTS = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([2**31 - 1, -(2**31), 2**31, 2**32 + 3, -(2**40)]),
+    st.booleans(),
+)
+STRS = st.one_of(st.sampled_from(["", "a", "b", "ab"]), st.none())
+ARGS = st.one_of(
+    INTS, STRS, st.lists(st.integers(-2, 3), max_size=3),
+)
+
+_INT_BINOPS = [Op.ADD, Op.SUB, Op.MUL, Op.DIV, Op.REM, Op.AND, Op.OR, Op.XOR, Op.SHL, Op.SHR]
+_LIT_BINOPS = [
+    Op.ADD_LIT, Op.SUB_LIT, Op.MUL_LIT, Op.DIV_LIT, Op.REM_LIT, Op.AND_LIT,
+    Op.OR_LIT, Op.XOR_LIT,
+]
+_BRANCHES = [Op.IF_EQ, Op.IF_NE, Op.IF_LT, Op.IF_GE, Op.IF_GT, Op.IF_LE]
+_ZERO_BRANCHES = [Op.IF_EQZ, Op.IF_NEZ, Op.IF_LTZ, Op.IF_GEZ]
+#: Statement kinds; calls are listed twice, so that bodies often hold
+#: several INVOKE sites (one inline-cache cell each).  "loop" is last:
+#: loop bodies draw from the others.
+_KINDS = [
+    "const", "move", "binop", "lit", "unary", "cmp", "array", "string",
+    "string", "helper", "helper", "static", "branch", "zero_branch", "goto",
+    "switch", "exit", "nop", "loop",
+]
+
+
+@st.composite
+def programs(draw):
+    """(instructions, registers, params, dangling) of one ``G.main``."""
+    params = draw(st.integers(0, 2))
+    b = MethodBuilder("G", "main", params=params)
+    P = list(range(params))
+    # Typed register pools keep the verifier's type lattice happy; the
+    # parameters are untyped and may reach any operand.
+    # Array lengths come from their own register: a computed length
+    # near the 1 << 24 cap would allocate ~100 MB on every run.
+    I, S, A, N = b.regs(3), b.regs(2), b.regs(1), b.reg()
+    for reg in I:
+        b.const(reg, draw(INTS))
+    for reg in S:
+        b.const(reg, draw(STRS))
+    b.const(N, draw(st.integers(0, 4)))
+    b.new_array(A[0], N)
+
+    dangling = draw(st.booleans())
+    # Labels placed at random positions; loops add their own as well.
+    placed = [f"L{k}" for k in range(draw(st.integers(0, 3)))]
+    if dangling:
+        placed.append(GONE)
+    targets = list(placed)
+
+    def pick(pool):
+        return draw(st.sampled_from(pool + P))
+
+    def statement(kinds):
+        """One drawn statement, as a list of instructions."""
+        body = []
+        kind = draw(st.sampled_from(kinds))
+        if kind in ("branch", "zero_branch", "goto", "switch") and not targets:
+            kind = "nop"
+        if kind == "const":
+            body.append(ins.const(draw(st.sampled_from(I)), draw(INTS)))
+        elif kind == "move":
+            pool = draw(st.sampled_from([I, S]))
+            body.append(ins.move(draw(st.sampled_from(pool)), draw(st.sampled_from(pool))))
+        elif kind == "binop":
+            op = draw(st.sampled_from(_INT_BINOPS))
+            body.append(ins.binop(op, draw(st.sampled_from(I)), pick(I), pick(I)))
+        elif kind == "lit":
+            op = draw(st.sampled_from(_LIT_BINOPS))
+            body.append(ins.binop_lit(op, draw(st.sampled_from(I)), pick(I), draw(st.integers(-3, 40))))
+        elif kind == "unary":
+            op = draw(st.sampled_from([Op.NEG, Op.NOT]))
+            body.append(Instr(op, dst=draw(st.sampled_from(I)), a=pick(I)))
+        elif kind == "cmp":
+            body.append(ins.binop(Op.CMP, draw(st.sampled_from(I)), pick(I + S), pick(I + S)))
+        elif kind == "array":
+            which = draw(st.sampled_from(["new", "get", "put", "len"]))
+            if which == "new":
+                body.append(ins.new_array(A[0], pick([N])))
+            elif which == "get":
+                body.append(ins.aget(draw(st.sampled_from(I)), pick(A), pick(I)))
+            elif which == "put":
+                body.append(ins.aput(pick(I + S), pick(A), pick(I)))
+            else:
+                body.append(ins.array_len(draw(st.sampled_from(I)), pick(A)))
+        elif kind == "string":
+            name = draw(st.sampled_from(["java.str.length", "java.str.concat", "java.str.equals"]))
+            if name == "java.str.concat":
+                body.append(ins.invoke(draw(st.sampled_from(S)), name, (pick(S), pick(S))))
+            elif name == "java.str.equals":
+                body.append(ins.invoke(draw(st.sampled_from(I)), name, (pick(S), pick(S))))
+            else:
+                body.append(ins.invoke(draw(st.sampled_from(I)), name, (pick(S),)))
+        elif kind == "helper":
+            name = draw(st.sampled_from(["G.inc", "G.count", "G.missing"]))
+            dst = draw(st.sampled_from(I + [None]))
+            body.append(ins.invoke(dst, name, (pick(I),)))
+        elif kind == "static":
+            field, pool = draw(st.sampled_from([("G.si", I), ("G.ss", S), ("G.nope", I)]))
+            if draw(st.booleans()):
+                body.append(ins.sget(draw(st.sampled_from(pool)), field))
+            else:
+                body.append(ins.sput(pick(pool), field))
+        elif kind == "branch":
+            op = draw(st.sampled_from(_BRANCHES))
+            body.append(Instr(op, a=pick(I + S), b=pick(I + S), target=draw(st.sampled_from(targets))))
+        elif kind == "zero_branch":
+            op = draw(st.sampled_from(_ZERO_BRANCHES))
+            body.append(Instr(op, a=pick(I + S), target=draw(st.sampled_from(targets))))
+        elif kind == "goto":
+            body.append(ins.goto(draw(st.sampled_from(targets))))
+        elif kind == "switch":
+            keys = draw(st.lists(st.one_of(st.integers(-1, 3), st.sampled_from(["a", "b"])),
+                                 min_size=1, max_size=3, unique=True))
+            table = {key: draw(st.sampled_from(targets)) for key in keys}
+            body.append(ins.switch(pick(I + S + A), table))
+        elif kind == "exit":
+            body.append(draw(st.sampled_from([
+                ins.ret(pick(I + S)), ins.ret_void(), ins.throw(pick(S)),
+            ])))
+        elif kind == "loop":
+            # A counted loop around 1-3 statements, top- or bottom-tested;
+            # random labels may still land inside it.
+            top, done, counter = f"W{len(targets)}", f"X{len(targets)}", draw(st.sampled_from(I))
+            body.append(ins.const(counter, draw(st.integers(0, 3))))
+            body.append(ins.Label(top))
+            inner = [i for _ in range(draw(st.integers(1, 3))) for i in statement(_KINDS[:-1])]
+            if draw(st.booleans()):
+                body.append(ins.if_ge(counter, pick(I), done))
+                body.extend(inner)
+                body.append(ins.binop_lit(Op.ADD_LIT, counter, counter, 1))
+                body.append(ins.goto(top))
+            else:
+                body.extend(inner)
+                body.append(ins.binop_lit(Op.SUB_LIT, counter, counter, 1))
+                body.append(Instr(Op.IF_GEZ, a=counter, target=top))
+            body.append(ins.Label(done))
+            targets.extend((top, done))
+        else:
+            body.append(Instr(Op.NOP))
+        return body
+
+    body = []
+    for _ in range(draw(st.integers(2, 20))):
+        body.extend(statement(_KINDS))
+    body.append(ins.ret(pick(I)))
+
+    # Each label lands once, anywhere -- after the final return too,
+    # where a jump falls off the end of the method.
+    at = {}
+    for label in placed:
+        at.setdefault(draw(st.integers(0, len(body))), []).append(label)
+    for index in range(len(body) + 1):
+        for label in at.get(index, ()):
+            b.label(label)
+        if index < len(body):
+            b.emit(body[index])
+    method = b.build()
+    instructions = [i for i in method.instructions if i != ins.Label(GONE)]
+    return instructions, method.registers, params, dangling
+
+
+def _runtime(make, program):
+    instructions, registers, params, _ = program
+    dex = assemble(HELPERS)
+    dex.classes["G"].add_method(DexMethod(
+        name="main", class_name="G", params=params, registers=registers,
+        instructions=list(instructions),
+    ))
+    return make(dex, seed=0)
+
+
+def _outcome(runtime, args, budget):
+    before = runtime.cost_units
+    ctx = runtime.session(budget=budget)
+    try:
+        result = ctx.run(runtime.find_method("G.main"), copy.deepcopy(args))
+        got = ("ok", repr(result.value))
+    except Exception as exc:  # noqa: BLE001 - VM errors and KeyError alike
+        got = (type(exc).__name__, str(exc))
+    statics = sorted((key, repr(value)) for key, value in runtime.statics.items())
+    return got + (ctx.consumed, runtime.cost_units - before, statics)
+
+
+@contextmanager
+def _tier2_from_first_call():
+    saved = tier2.WARM_INSTRUCTIONS
+    tier2.WARM_INSTRUCTIONS = 0
+    try:
+        yield
+    finally:
+        tier2.WARM_INSTRUCTIONS = saved
+
+
+def _agrees_at_every_budget(program, args):
+    ref = _runtime(reference_runtime, program)
+    full = _outcome(ref, args, FULL)
+    fast = _runtime(Runtime, program)
+    with _tier2_from_first_call():
+        assert _outcome(fast, args, FULL) == full
+        for budget in range(1, min(full[2] + 1, FULL) + 1):
+            assert _outcome(fast, args, budget) == _outcome(ref, args, budget), budget
+    assert fast.find_method("G.main")._compiled.tier2 is not None
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(program=programs(), args=st.lists(ARGS, min_size=2, max_size=2))
+def test_tier2_matches_reference_at_every_budget(program, args):
+    instructions, registers, params, dangling = program
+    if not dangling:
+        main = DexMethod(
+            name="main", class_name="G", params=params, registers=registers,
+            instructions=list(instructions),
+        )
+        assert not errors(verify_method(main)), "generator left the verifier's language"
+    _agrees_at_every_budget(program, args[:params])
+
+
+#: Loops tier-2 must not run as simple inner loops: one is entered in
+#: its middle, the other jumps back to before its head from its body.
+LOOP_SHAPES = {
+    "entered_mid_body": """
+        const r1, 0
+        if_eqz r0, @mid
+    @top:
+        add_lit r1, r1, 1
+    @mid:
+        add_lit r1, r1, 10
+        const r2, 40
+        if_lt r1, r2, @top
+        return r1
+    """,
+    "jumps_before_head": """
+        const r1, 0
+    @pre:
+        add_lit r1, r1, 100
+    @top:
+        add_lit r1, r1, 1
+        if_lt r1, r0, @pre
+        const r2, 300
+        if_lt r1, r2, @top
+        return r1
+    """,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(LOOP_SHAPES))
+@pytest.mark.parametrize("arg", [0, 150, 250])
+def test_tier2_loop_shapes_match_reference(shape, arg):
+    main = assemble_method(LOOP_SHAPES[shape], class_name="G", name="main", params=1)
+    _agrees_at_every_budget((main.instructions, main.registers, 1, False), [arg])

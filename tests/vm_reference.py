@@ -2,7 +2,9 @@
 
 This is the original decode-as-you-go register-machine loop, kept
 verbatim (modulo the :class:`~repro.vm.sessions.ExecutionContext`
-threading every entry point uses) as the *semantic oracle*:
+threading every entry point uses, and CMP / SWITCH raising VMCrash
+instead of leaking Python's TypeError on unordered or unhashable
+operands) as the *semantic oracle*:
 
 * the differential test suite executes the full instrumented corpus on
   both interpreters and asserts bit-identical results -- return values,
@@ -26,7 +28,7 @@ from typing import List
 from repro.dex.model import DexMethod
 from repro.dex.opcodes import Op
 from repro.errors import BudgetExhausted, VMCrash
-from repro.vm.dispatch import _COMPARES, _ZERO_TESTS
+from repro.vm.dispatch import _COMPARES, _ZERO_TESTS, _cmp_unordered, _switch_unhashable
 from repro.vm.interpreter import MAX_CALL_DEPTH, Interpreter
 from repro.vm.runtime import Runtime
 from repro.vm.sessions import ExecutionContext
@@ -128,7 +130,10 @@ class ReferenceInterpreter(Interpreter):
             elif op is Op.CMP:
                 left = registers[instr.a]
                 right = registers[instr.b]
-                registers[instr.dst] = (left > right) - (left < right)
+                try:
+                    registers[instr.dst] = (left > right) - (left < right)
+                except TypeError:
+                    raise _cmp_unordered(left, right) from None
             elif op is Op.ADD_LIT:
                 registers[instr.dst] = to_int32(
                     require_int(registers[instr.a], "add_lit") + instr.value
@@ -187,7 +192,10 @@ class ReferenceInterpreter(Interpreter):
                 key = registers[instr.a]
                 if isinstance(key, bool):
                     key = int(key)
-                target = instr.value.get(key)
+                try:
+                    target = instr.value.get(key)
+                except TypeError:
+                    raise _switch_unhashable(key) from None
                 if tracer is not None:
                     tracer.on_branch(method, pc, instr, target is not None)
                 if target is not None:
