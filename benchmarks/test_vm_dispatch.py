@@ -4,7 +4,8 @@ The acceptance bar for the dispatch-table interpreter rebuild:
 
 * the table engine interprets >= 2x the instructions/second of the
   pre-rebuild interpreter (kept verbatim as the test-only
-  ``tests.vm_reference.ReferenceInterpreter``) on a fusion-heavy kernel;
+  ``tests.vm_reference.ReferenceInterpreter``) on a branch- and
+  call-heavy kernel;
 * real protected-app play sessions are no slower than before
   (sessions/second ratio >= 1x -- in practice far better, since play
   time is interpreter-bound);
@@ -44,8 +45,9 @@ SESSION_EVENTS = max(100, int(250 * SCALE))
 #: Builds a runtime on each side of the comparison.
 RUNTIMES = {"reference": reference_runtime, "table": Runtime}
 
-# A fusion-heavy interpreter kernel: fused CONST pairs, CONST+compare,
-# CONST+zero-test, app-to-app INVOKE and 32-bit wrapped arithmetic.
+# An interpreter kernel built from the shapes bomb prologues emit: CONST
+# pairs, CONST+compare, CONST+zero-test, app-to-app INVOKE and 32-bit
+# wrapped arithmetic.
 KERNEL_APP = """
 .class K
 .field sink static 0

@@ -300,6 +300,13 @@ def encode_health(health: HealthStatus) -> bytes:
 _HEALTH_FIXED = struct.calcsize(">QBQIIQ")
 
 
+def _utf8(raw: bytes, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireError(f"{what} is not UTF-8") from None
+
+
 def decode_health(payload: bytes) -> HealthStatus:
     """Inverse of :func:`encode_health`; raises :class:`WireError`."""
     try:
@@ -323,7 +330,7 @@ def decode_health(payload: bytes) -> HealthStatus:
         wal_depth=wal_depth,
         queue_depth=queue_depth,
         dropped=dropped,
-        endpoint=endpoint.decode("utf-8"),
+        endpoint=_utf8(endpoint, "health endpoint"),
     )
 
 
@@ -343,7 +350,7 @@ def decode_redirect(payload: bytes) -> Tuple[int, str]:
     raw = payload[10 : 10 + endpoint_len]
     if len(raw) != endpoint_len or 10 + endpoint_len != len(payload):
         raise WireError("malformed NOT_LEADER redirect")
-    return epoch, raw.decode("utf-8")
+    return epoch, _utf8(raw, "NOT_LEADER redirect endpoint")
 
 
 #: A fence request body reuses the redirect layout (epoch + endpoint).

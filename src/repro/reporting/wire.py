@@ -82,7 +82,10 @@ def _unpack_str(blob: bytes, offset: int):
     offset += 2
     if offset + length > len(blob):
         raise WireError("truncated report field")
-    return blob[offset : offset + length].decode("utf-8"), offset + length
+    try:
+        return blob[offset : offset + length].decode("utf-8"), offset + length
+    except UnicodeDecodeError:
+        raise WireError("report field is not UTF-8") from None
 
 
 def canonical_bytes(report: DetectionReport) -> bytes:
@@ -247,7 +250,7 @@ def report_from_json(line: str) -> SignedReport:
     """Inverse of :func:`report_to_json`; raises :class:`WireError`."""
     try:
         obj = json.loads(line)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, RecursionError) as exc:
         raise WireError(f"bad report JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise WireError("report JSON must be an object")
@@ -264,7 +267,7 @@ def report_from_json(line: str) -> SignedReport:
         )
         key = RSAPublicKey.from_bytes(bytes.fromhex(obj["attestation_key"]))
         signature = int(str(obj["signature"]), 16)
-    except (KeyError, ValueError, CryptoError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, CryptoError) as exc:
         raise WireError(f"bad report JSON: {exc}") from None
     if report.version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {report.version}")

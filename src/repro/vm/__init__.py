@@ -8,8 +8,9 @@ Components:
 ``events``       UI event model consumed by fuzzers and play sessions
 ``framework``    the Android-framework API surface (``android.*``,
                  ``java.*`` and the ``bomb.*`` helpers)
-``dispatch``     the dispatch-table compiler (superinstruction fusion,
-                 inline-cache call sites) behind the interpreter
+``dispatch``     the dispatch-table compiler (one step closure per
+                 instruction, inline-cache call sites) behind the
+                 interpreter
 ``tier2``        warm methods compiled to one Python function each
 ``interpreter``  the bytecode interpreter with tracing hooks
 ``sessions``     ExecutionContext/SessionResult (the session API) and

@@ -4,25 +4,17 @@ The interpreter's original inner loop re-decoded every instruction on
 every execution: one long ``elif`` chain per step, label lookups per
 branch, and a method-table probe per INVOKE.  This module compiles a
 :class:`~repro.dex.model.DexMethod` once into a :class:`CompiledMethod`
--- a flat table of *step closures*, one per executed unit -- that the
-driver loop indexes directly.  Three techniques, all semantics-free:
+-- a flat table of *step closures*, one per real instruction -- that
+the driver loop indexes directly.  Two techniques, both semantics-free:
 
 **Dispatch table.**  Each real instruction becomes a closure
 ``step(registers, frame) -> next_index`` with its operands, branch
 targets (pre-resolved to table indices) and error messages captured at
 compile time.  LABEL pseudo-instructions vanish from the compiled
 stream (they were free at runtime anyway); the original pc of every
-unit is retained so tracers observe exactly the pcs they always did.
-
-**Superinstruction fusion.**  Adjacent pairs that bomb prologues emit
-constantly (CONST+CONST, CONST+IF, CONST+INVOKE, INVOKE+IF_EQZ/NEZ)
-fuse into one closure.  Fusion is only legal when the second
-instruction directly follows the first in the *original* stream
-(``j == i + 1``): branch targets always land on LABELs, and a LABEL
-between the two would make the second instruction a potential jump
-target.  The fused closure performs the second component's budget,
-cost and tracer bookkeeping itself, bit-identically to two driver
-iterations.
+step is retained so tracers observe exactly the pcs they always did.
+Tier-2 (:mod:`repro.vm.tier2`) calls the same closures for the opcodes
+it does not inline.
 
 **Inline caches.**  Every INVOKE site gets a cache cell (per
 interpreter, per compiled body).  App-method targets are cached
@@ -43,10 +35,10 @@ in-repo mutator (MethodEditor, attacks, weaving) already calls.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.dex.opcodes import Op
-from repro.errors import BudgetExhausted, VMCrash
+from repro.errors import VMCrash
 from repro.vm.values import Instance, require_int, truthy
 
 _MASK = 0xFFFFFFFF
@@ -131,16 +123,15 @@ class CompiledMethod:
 
     __slots__ = (
         "steps", "orig_pcs", "orig_instrs", "count", "cell_count",
-        "fused_units", "exhausted", "warmth", "tier2",
+        "exhausted", "warmth", "tier2",
     )
 
-    def __init__(self, steps, orig_pcs, orig_instrs, cell_count, fused_units, exhausted):
+    def __init__(self, steps, orig_pcs, orig_instrs, cell_count, exhausted):
         self.steps = steps
-        self.orig_pcs = orig_pcs          # compiled index -> original pc of the unit head
-        self.orig_instrs = orig_instrs    # compiled index -> original head Instr
+        self.orig_pcs = orig_pcs          # compiled index -> original pc
+        self.orig_instrs = orig_instrs    # compiled index -> original Instr
         self.count = len(steps)
         self.cell_count = cell_count      # inline-cache cells (one per INVOKE site)
-        self.fused_units = fused_units    # superinstruction count (introspection)
         self.exhausted = exhausted        # precomputed BudgetExhausted message
         self.warmth = 0
         self.tier2 = None
@@ -212,7 +203,7 @@ def _build_single(instr, pc, nxt, C):
     """Compile one instruction into a step closure.
 
     ``C`` is the per-method compile context: qualified name, label ->
-    unit-index resolver, and the inline-cache cell allocator.
+    step-index resolver, and the inline-cache cell allocator.
     """
     op = instr.op
 
@@ -629,187 +620,15 @@ def _make_invoke(instr, nxt, C):
 
 
 # ---------------------------------------------------------------------------
-# Superinstruction (fused-pair) step factories
-# ---------------------------------------------------------------------------
-
-
-def _fusable(op1, op2) -> bool:
-    """A pair may fuse when the *shape* matches a bomb-prologue idiom.
-
-    Adjacency in the original stream is checked by the caller; here we
-    only gate on opcode shape.
-    """
-    if op1 is Op.CONST:
-        return (
-            op2 is Op.CONST
-            or op2 is Op.INVOKE
-            or op2 in _COMPARES
-            or op2 in _ZERO_TESTS
-        )
-    if op1 is Op.INVOKE:
-        return op2 in _ZERO_TESTS
-    return False
-
-
-def _build_fused(in1, pc1, in2, pc2, nxt, C):
-    """One closure executing two instructions.
-
-    The driver loop performs budget/cost/tracer bookkeeping for the
-    first component; the closure replicates the same bookkeeping for
-    the second, in the same order (budget check, cost, on_instr), so
-    exhaustion mid-pair and every tracer observation land exactly where
-    two separate iterations would put them.
-    """
-    op1, op2 = in1.op, in2.op
-    exhausted = C.exhausted
-
-    if op1 is Op.CONST:
-        d1, v1 = in1.dst, in1.value
-
-        if op2 is Op.CONST:
-            d2, v2 = in2.dst, in2.value
-
-            def step(regs, frame, d1=d1, v1=v1, d2=d2, v2=v2, nxt=nxt,
-                     pc2=pc2, in2=in2, exhausted=exhausted):
-                regs[d1] = v1
-                cell = frame.budget
-                cell[0] -= 1
-                if cell[0] < 0:
-                    raise BudgetExhausted(exhausted)
-                frame.runtime.cost_units += 1
-                tr = frame.tracer
-                if tr is not None:
-                    tr.on_instr(frame.method, pc2, in2)
-                regs[d2] = v2
-                return nxt
-            return step
-
-        if op2 is Op.INVOKE:
-            icell = C.alloc_cell()
-            name, arg_regs, dst2 = in2.value, in2.args, in2.dst
-
-            def step(regs, frame, d1=d1, v1=v1, name=name, arg_regs=arg_regs,
-                     dst2=dst2, icell=icell, nxt=nxt, pc2=pc2, in2=in2,
-                     exhausted=exhausted):
-                regs[d1] = v1
-                cell = frame.budget
-                cell[0] -= 1
-                if cell[0] < 0:
-                    raise BudgetExhausted(exhausted)
-                frame.runtime.cost_units += 1
-                tr = frame.tracer
-                if tr is not None:
-                    tr.on_instr(frame.method, pc2, in2)
-                call_args = [regs[r] for r in arg_regs]
-                if tr is not None:
-                    tr.on_invoke(name, call_args)
-                result = _call(frame, name, call_args, icell)
-                if dst2 is not None:
-                    regs[dst2] = result
-                return nxt
-            return step
-
-        pred = _COMPARES.get(op2)
-        if pred is not None:
-            a2, b2 = in2.a, in2.b
-            t = C.unit_for(in2.target)
-            lbl = in2.target
-
-            def step(regs, frame, d1=d1, v1=v1, pred=pred, a2=a2, b2=b2,
-                     t=t, lbl=lbl, nxt=nxt, pc2=pc2, in2=in2,
-                     exhausted=exhausted):
-                regs[d1] = v1
-                cell = frame.budget
-                cell[0] -= 1
-                if cell[0] < 0:
-                    raise BudgetExhausted(exhausted)
-                frame.runtime.cost_units += 1
-                tr = frame.tracer
-                if tr is not None:
-                    tr.on_instr(frame.method, pc2, in2)
-                taken = pred(regs[a2], regs[b2])
-                if tr is not None:
-                    tr.on_branch(frame.method, pc2, in2, taken)
-                if taken:
-                    if t is None:
-                        raise KeyError(lbl)
-                    return t
-                return nxt
-            return step
-
-        pred = _ZERO_TESTS[op2]
-        a2 = in2.a
-        t = C.unit_for(in2.target)
-        lbl = in2.target
-
-        def step(regs, frame, d1=d1, v1=v1, pred=pred, a2=a2, t=t, lbl=lbl,
-                 nxt=nxt, pc2=pc2, in2=in2, exhausted=exhausted):
-            regs[d1] = v1
-            cell = frame.budget
-            cell[0] -= 1
-            if cell[0] < 0:
-                raise BudgetExhausted(exhausted)
-            frame.runtime.cost_units += 1
-            tr = frame.tracer
-            if tr is not None:
-                tr.on_instr(frame.method, pc2, in2)
-            taken = pred(regs[a2])
-            if tr is not None:
-                tr.on_branch(frame.method, pc2, in2, taken)
-            if taken:
-                if t is None:
-                    raise KeyError(lbl)
-                return t
-            return nxt
-        return step
-
-    # INVOKE + IF_EQZ / IF_NEZ / IF_LTZ / IF_GEZ
-    icell = C.alloc_cell()
-    name, arg_regs, dst1 = in1.value, in1.args, in1.dst
-    pred = _ZERO_TESTS[op2]
-    a2 = in2.a
-    t = C.unit_for(in2.target)
-    lbl = in2.target
-
-    def step(regs, frame, name=name, arg_regs=arg_regs, dst1=dst1,
-             icell=icell, pred=pred, a2=a2, t=t, lbl=lbl, nxt=nxt,
-             pc2=pc2, in2=in2, exhausted=exhausted):
-        call_args = [regs[r] for r in arg_regs]
-        tr = frame.tracer
-        if tr is not None:
-            tr.on_invoke(name, call_args)
-        result = _call(frame, name, call_args, icell)
-        if dst1 is not None:
-            regs[dst1] = result
-        cell = frame.budget
-        cell[0] -= 1
-        if cell[0] < 0:
-            raise BudgetExhausted(exhausted)
-        frame.runtime.cost_units += 1
-        if tr is not None:
-            tr.on_instr(frame.method, pc2, in2)
-        taken = pred(regs[a2])
-        if tr is not None:
-            tr.on_branch(frame.method, pc2, in2, taken)
-        if taken:
-            if t is None:
-                raise KeyError(lbl)
-            return t
-        return nxt
-    return step
-
-
-# ---------------------------------------------------------------------------
 # The compiler
 # ---------------------------------------------------------------------------
 
 
 class _CompileContext:
-    __slots__ = ("qname", "exhausted", "unit_for", "_cells")
+    __slots__ = ("qname", "unit_for", "_cells")
 
-    def __init__(self, qname, exhausted, unit_for):
+    def __init__(self, qname, unit_for):
         self.qname = qname
-        self.exhausted = exhausted
         self.unit_for = unit_for
         self._cells = 0
 
@@ -828,63 +647,26 @@ def compile_method(method) -> CompiledMethod:
     instrs = method.instructions
     labels = method.label_map()
     qname = method.qualified_name
-    exhausted = f"instruction budget exhausted in {qname}"
-
     real = [idx for idx, ins in enumerate(instrs) if ins.op is not Op.LABEL]
 
-    # Partition into units: fuse a pair only when the second instruction
-    # is directly adjacent in the original stream (no LABEL between --
-    # branch targets always land on LABELs, so a fused tail can never be
-    # jumped into).
-    units: List[tuple] = []
-    k = 0
-    n = len(real)
-    while k < n:
-        i = real[k]
-        if (
-            k + 1 < n
-            and real[k + 1] == i + 1
-            and _fusable(instrs[i].op, instrs[i + 1].op)
-        ):
-            units.append((i, i + 1))
-            k += 2
-            continue
-        units.append((i,))
-        k += 1
-
-    heads = [u[0] for u in units]
-
     def unit_for(label_name: str) -> Optional[int]:
-        """Unit index a label jumps to, or None when the label is
+        """Step index a label jumps to, or None when the label is
         undefined (the step then raises KeyError at *execution* time,
-        exactly as the uncompiled ``labels[target]`` lookup did)."""
+        exactly as the uncompiled ``labels[target]`` lookup did).
+
+        The first real instruction at-or-after the LABEL marker -- or
+        len(real), which the driver turns into the same fell-off-the-end
+        crash the original loop raised."""
         orig = labels.get(label_name)
         if orig is None:
             return None
-        # First unit whose head sits at-or-after the LABEL marker.  A
-        # fused tail can never satisfy this (it directly follows its
-        # head with no room for a LABEL), so the result is a unit head
-        # -- or len(units), which the driver turns into the same
-        # fell-off-the-end crash the original loop raised.
-        return bisect_left(heads, orig)
+        return bisect_left(real, orig)
 
-    C = _CompileContext(qname, exhausted, unit_for)
-    steps = []
-    orig_pcs = []
-    orig_instrs = []
-    fused = 0
-    for uidx, unit in enumerate(units):
-        i = unit[0]
-        nxt = uidx + 1
-        if len(unit) == 2:
-            fused += 1
-            step = _build_fused(instrs[i], i, instrs[unit[1]], unit[1], nxt, C)
-        else:
-            step = _build_single(instrs[i], i, nxt, C)
-        steps.append(step)
-        orig_pcs.append(i)
-        orig_instrs.append(instrs[i])
-
-    code = CompiledMethod(steps, orig_pcs, orig_instrs, C._cells, fused, exhausted)
+    C = _CompileContext(qname, unit_for)
+    steps = [_build_single(instrs[i], i, k + 1, C) for k, i in enumerate(real)]
+    code = CompiledMethod(
+        steps, real, [instrs[i] for i in real], C._cells,
+        f"instruction budget exhausted in {qname}",
+    )
     method._compiled = code
     return code

@@ -86,11 +86,16 @@ class CoverageTracer(Tracer):
         self.branches.setdefault((method.qualified_name, pc), set()).add(taken)
 
     def instruction_coverage_of(self, dex) -> float:
-        """Fraction of real instructions of ``dex`` ever executed."""
+        """Fraction of real instructions of ``dex`` ever executed.
+
+        Only ``dex``'s own methods count: bomb payloads loaded at run
+        time are traced too, but are not part of ``dex``.
+        """
         total = dex.instruction_count()
         if total == 0:
             return 0.0
-        executed = len(self.visited)
+        own = {m.qualified_name for m in dex.iter_methods()}
+        executed = sum(1 for name, _ in self.visited if name in own)
         return min(1.0, executed / total)
 
 
@@ -186,9 +191,8 @@ class Interpreter:
         cost = 0
         i = 0
         # The frame's instruction cost accrues in a local and flushes on
-        # exit (fused steps and framework calls charge the runtime
-        # directly; totals are identical either way, and nothing reads
-        # cost_units mid-frame).
+        # exit (framework calls charge the runtime directly; totals are
+        # identical either way, and nothing reads cost_units mid-frame).
         try:
             if tracer is None:
                 while 0 <= i < count:

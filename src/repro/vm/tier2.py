@@ -20,8 +20,8 @@ instruction (or by an exception).
 all ``L`` at once when the budget cell holds at least ``L``.  An INVOKE
 ends its block, so a callee sees exactly the budget tier-1 would leave
 it.  Otherwise exhaustion is certain inside the block, and
-:func:`_short_runner` runs it on tier-1 single steps with tier-1's
-decrement-then-check until the budget runs out.
+:func:`_short_runner` runs it on the method's tier-1 steps with
+tier-1's decrement-then-check until the budget runs out.
 
 **Exceptions mid-block.**  An instruction that may raise while charged
 instructions follow it in its block sets ``refund`` to their number
@@ -63,8 +63,6 @@ from repro.errors import BudgetExhausted, VMCrash
 from repro.vm.dispatch import (
     _ARITH,
     _ARITH_LIT,
-    _CompileContext,
-    _build_single,
     _call,
     _eq,
     _switch_unhashable,
@@ -131,13 +129,12 @@ def _code_for(source: str):
     return compile(source, "<tier2>", "exec")
 
 
-def _short_runner(instrs, blocks, C, steps: Dict[int, object]):
+def _short_runner(blocks, steps: Dict[int, object], exhausted: str):
     """The slow path of a block the budget cannot cover.
 
-    ``steps`` maps pc -> tier-1 step for the instructions already built;
-    the rest are built on first use.
+    ``steps`` maps pc -> tier-1 step; the index a step returns is
+    ignored, since blocks run in program order.
     """
-    exhausted = C.exhausted
 
     def short(k, regs, frame):
         cell = frame.budget
@@ -150,10 +147,7 @@ def _short_runner(instrs, blocks, C, steps: Dict[int, object]):
             if cell[0] < 0:
                 raise BudgetExhausted(exhausted)
             runtime.cost_units += 1
-            step = steps.get(pc)
-            if step is None:
-                step = steps[pc] = _build_single(instrs[pc], pc, 0, C)
-            step(regs, frame)
+            steps[pc](regs, frame)
         cell[0] -= 1
         raise BudgetExhausted(exhausted)
 
@@ -166,13 +160,12 @@ class _Source:
     def __init__(self, method, code) -> None:
         self.instrs = method.instructions
         labels = method.label_map()
-        self.C = _CompileContext(method.qualified_name, code.exhausted, None)
+        self.steps = dict(zip(code.orig_pcs, code.steps))
         self.blocks = _blocks(self.instrs, labels)
         heads = [block[0] for block in self.blocks]
         #: label -> block index (len(blocks): falls off the end)
         self.block_of = {name: bisect_left(heads, pc) for name, pc in labels.items()}
         self.ns: Dict[str, object] = {}
-        self.steps: Dict[int, object] = {}
         self.lines: List[str] = []
         self.back_edges = False
         self.inner = None
@@ -221,8 +214,7 @@ class _Source:
             self.emit(d, "refund = 0")
 
     def generic(self, d: int, pc: int, n: int) -> None:
-        step = self.steps[pc] = _build_single(self.instrs[pc], pc, 0, self.C)
-        self.guarded(d, n, [f"{self.bind(step)}(r, frame)"])
+        self.guarded(d, n, [f"{self.bind(self.steps[pc])}(r, frame)"])
 
     def instr(self, d: int, pc: int, n: int, k: int) -> None:
         ins = self.instrs[pc]
@@ -427,7 +419,7 @@ def compile_tier2(method, code):
     )
     ns = dict(_HELPERS)
     ns.update(src.ns)
-    ns["short"] = _short_runner(src.instrs, src.blocks, src.C, src.steps)
+    ns["short"] = _short_runner(src.blocks, src.steps, code.exhausted)
     exec(_code_for(source), ns)
     fn = code.tier2 = ns["run"]
     return fn

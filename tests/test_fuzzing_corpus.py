@@ -22,6 +22,7 @@ from repro.fuzzing import (
 )
 from repro.vm import DevicePopulation, Runtime
 from repro.vm.events import declared_events, handler_name_for
+from repro.vm.interpreter import CoverageTracer
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +105,27 @@ class TestSession:
         )
         result = session.run_for(60.0)
         assert 0.0 < result.coverage <= 1.0
+
+    def test_coverage_ignores_bomb_payload_code(self, protected_apk):
+        """Payload methods loaded at run time are traced, but coverage is
+        a fraction of the app dex's own instructions."""
+        dex = protected_apk.dex()
+        own = {method.qualified_name for method in dex.iter_methods()}
+        tracer = CoverageTracer()
+        runtime = Runtime(
+            dex, package=protected_apk.install_view(), seed=3, tracers=[tracer]
+        )
+        runtime.boot()
+        for event in DynodroidGenerator(dex, seed=3).stream(300):
+            try:
+                runtime.dispatch(event)
+            except VMError:
+                pass
+        app_pairs = {pair for pair in tracer.visited if pair[0] in own}
+        assert len(app_pairs) < len(tracer.visited), "no payload ran"
+        assert tracer.instruction_coverage_of(dex) == (
+            len(app_pairs) / dex.instruction_count()
+        )
 
 
 class TestCorpusGenerator:

@@ -1,13 +1,18 @@
 """Wire format: codecs round-trip, signatures bind, parsing is tolerant."""
 
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.cli import main
 from repro.crypto import RSAKeyPair
 from repro.errors import WireError
 from repro.reporting import (
     DetectionReport,
+    ReportServer,
+    SubmitStatus,
     decode_report,
     encode_report,
     format_report_text,
@@ -17,7 +22,22 @@ from repro.reporting import (
     report_to_json,
     sign_report,
 )
-from repro.reporting.wire import canonical_bytes
+from repro.reporting.durability import (
+    decode_record,
+    decode_snapshot,
+    encode_register_record,
+    encode_report_record,
+    encode_snapshot,
+)
+from repro.reporting.net import (
+    FrameReader,
+    HealthStatus,
+    MessageReader,
+    decode_health,
+    decode_redirect,
+)
+from repro.reporting.net.framing import decode_fence, encode_health, encode_redirect
+from repro.reporting.wire import WIRE_MAGIC, canonical_bytes
 
 KEY_A = "ab" * 20
 KEY_B = "cd" * 20
@@ -80,7 +100,7 @@ class TestJsonCodec:
         assert decoded.verify()
 
     def test_bad_json_rejected(self):
-        for line in ("", "{", "[1, 2]", '{"app": "Game"}'):
+        for line in ("", "{", "[1, 2]", '{"app": "Game"}', "[" * 100_000):
             with pytest.raises(WireError):
                 report_from_json(line)
 
@@ -146,3 +166,135 @@ class TestTextChannel:
         assert report.observed_key_hex == KEY_A  # normalized to lowercase
         assert report.device_id == "dev-1"
         assert report.nonce == 5
+
+
+# ---------------------------------------------------------------------------
+# Decoders fail only with WireError
+# ---------------------------------------------------------------------------
+
+
+def _non_utf8_frame(attest_key):
+    """A well-framed report whose app-name field is not UTF-8."""
+    frame = encode_report(sign_report(_report(app_name="Gxme"), attest_key))
+    return frame.replace(b"Gxme", b"G\xffme", 1)
+
+
+class TestDecodersRaiseOnlyWireError:
+    def test_non_utf8_report_field(self, attest_key):
+        with pytest.raises(WireError):
+            decode_report(_non_utf8_frame(attest_key))
+
+    def test_server_answers_malformed_for_non_utf8_frame(self, attest_key):
+        server = ReportServer(shards=1)
+        server.register_app("Game", KEY_B)
+        assert server.submit(_non_utf8_frame(attest_key)) is SubmitStatus.MALFORMED
+
+    def test_non_utf8_wal_record_and_snapshot(self, attest_key):
+        records = (
+            encode_register_record("Gxme", KEY_A),
+            encode_report_record("Gxme", _report(), True),
+            encode_report_record("Game", _report(app_name="Gxme"), True),
+        )
+        for record in records:
+            with pytest.raises(WireError):
+                decode_record(record.replace(b"Gxme", b"G\xffme", 1))
+        image = encode_snapshot(
+            {"clock": 0.0, "trusted_nonce": 0, "epoch": 0, "apps": [{
+                "name": "Gxme", "key": KEY_A, "takedown_key": None,
+                "takedown_ts": None, "shards": [],
+            }]}
+        )
+        with pytest.raises(WireError):
+            decode_snapshot(image.replace(b"Gxme", b"G\xffme", 1))
+
+    def test_non_utf8_health_and_redirect_endpoints(self):
+        health = encode_health(HealthStatus(epoch=1, role="leader", endpoint="h:1"))
+        with pytest.raises(WireError):
+            decode_health(health.replace(b"h:1", b"\xff:1"))
+        redirect = encode_redirect(2, "h:1").replace(b"h:1", b"\xff:1")
+        for decode in (decode_redirect, decode_fence):
+            with pytest.raises(WireError):
+                decode(redirect)
+
+    @pytest.mark.parametrize("field, value", [
+        ("nonce", "null"),
+        ("nonce", "Infinity"),
+        ("nonce", "-Infinity"),
+        ("timestamp", "[1]"),
+        ("attestation_key", "5"),
+        ("attestation_key", "null"),
+    ])
+    def test_json_field_of_the_wrong_type(self, attest_key, field, value):
+        obj = json.loads(report_to_json(sign_report(_report(), attest_key)))
+        obj[field] = "@"
+        line = json.dumps(obj).replace('"@"', value)
+        with pytest.raises(WireError):
+            report_from_json(line)
+
+    def test_serve_reports_survives_a_bad_json_line(self, attest_key, tmp_path, capsys):
+        good = report_to_json(sign_report(_report(), attest_key))
+        bad = good.replace('"nonce": %d' % _report().nonce, '"nonce": null')
+        assert bad != good
+        path = tmp_path / "reports.jsonl"
+        path.write_text(bad + "\n" + good + "\n")
+        assert main([
+            "serve-reports", "--app", "Game", "--key-hex", KEY_B,
+            "--reports", str(path),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "accepted=1" in out
+        assert "malformed=1" in out
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = ("app", "bomb", "device", "key", "method", "timestamp", "nonce",
+           "version", "attestation_key", "signature")
+_FUZZ = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+def _only_wire_error(decode, data):
+    try:
+        decode(data)
+    except WireError:
+        pass
+
+
+@_FUZZ
+@given(data=st.binary(max_size=96))
+def test_binary_decoders_raise_only_wire_error(data):
+    for decode in (decode_report, decode_record, decode_snapshot,
+                   decode_health, decode_redirect):
+        _only_wire_error(decode, data)
+        _only_wire_error(decode, WIRE_MAGIC + data)
+    _only_wire_error(FrameReader().feed, data)
+    _only_wire_error(FrameReader().feed, WIRE_MAGIC + data)
+    _only_wire_error(MessageReader().feed, data)
+
+
+@_FUZZ
+@given(pos=st.integers(min_value=0), byte=st.integers(min_value=0, max_value=255))
+def test_decoders_of_one_corrupted_byte_raise_only_wire_error(attest_key, pos, byte):
+    valid = (
+        (decode_report, encode_report(sign_report(_report(), attest_key))),
+        (FrameReader().feed, encode_report(sign_report(_report(), attest_key))),
+        (decode_record, encode_report_record("Game", _report(), False)),
+        (decode_health, encode_health(HealthStatus(epoch=3, role="fenced", endpoint="h:9"))),
+    )
+    for decode, blob in valid:
+        corrupted = bytearray(blob)
+        corrupted[pos % len(blob)] = byte
+        _only_wire_error(decode, bytes(corrupted))
+
+
+@_FUZZ
+@given(value=_JSON, fields=st.dictionaries(st.sampled_from(_FIELDS), _JSON))
+def test_report_from_json_raises_only_wire_error(attest_key, value, fields):
+    _only_wire_error(report_from_json, json.dumps(value))
+    obj = json.loads(report_to_json(sign_report(_report(), attest_key)))
+    obj.update(fields)
+    _only_wire_error(report_from_json, json.dumps(obj))

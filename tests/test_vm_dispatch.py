@@ -25,9 +25,10 @@ from tests.vm_reference import ReferenceInterpreter, reference_runtime
 #: Builds a runtime on each side of the comparison.
 RUNTIMES = {"reference": reference_runtime, "table": Runtime}
 
-# Exercises every fusion shape the compiler knows (CONST+CONST,
-# CONST+INVOKE, CONST+compare, CONST+zero-test, INVOKE+zero-test),
-# loops, switches, framework calls and app-to-app calls.
+# Exercises the adjacent-instruction shapes that bomb prologues emit
+# (CONST+CONST, CONST+INVOKE, CONST+compare, CONST+zero-test,
+# INVOKE+zero-test), loops, switches, framework calls and app-to-app
+# calls.
 FUSION_APP = """
 .class F
 .field acc static 0
@@ -187,8 +188,8 @@ class TestDifferentialCorpus:
 
     def test_tracer_streams_identical(self, protected_apk):
         """on_instr / on_branch / on_invoke fire with the same payloads
-        in the same order under both engines (original pcs, original
-        instruction objects, even through fused superinstructions)."""
+        in the same order under both engines (original pcs and original
+        instruction objects)."""
         _, _, ref_stream = _play(protected_apk, "reference", events=40, trace=True)
         _, _, tab_stream = _play(protected_apk, "table", events=40, trace=True)
         assert ref_stream  # non-trivial stream
@@ -232,8 +233,9 @@ def _every_budget_boundary_matches():
 class TestFusionBoundaries:
     def test_every_budget_boundary_matches(self):
         """Exhaust the budget at every possible instruction boundary --
-        including mid-superinstruction -- and require identical error
-        type, message, instruction count and cost on both engines."""
+        including between the adjacent pairs above -- and require
+        identical error type, message, instruction count and cost on
+        both engines."""
         _every_budget_boundary_matches()
 
     def test_every_budget_boundary_matches_warm(self, warm):

@@ -7,17 +7,22 @@ Every method runs on tier-2 from its first call and on the test-only
 reference loop (``tests/vm_reference.py``) at every budget from 1 to
 the full run, and both must agree on the result or exception (type and
 message), the instructions consumed, the cost units and the statics.
+A second test warms a method onto tier-2, splices a slice of another
+generated method into it with ``MethodEditor`` and diffs the runs of
+the edited body the same way.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.verifier import verify_method
+from repro.core.instrumenter import MethodEditor
 from repro.dex import assemble, assemble_method, instructions as ins
 from repro.dex.builder import MethodBuilder
 from repro.dex.instructions import Instr
@@ -249,11 +254,20 @@ def _tier2_from_first_call():
         tier2.WARM_INSTRUCTIONS = saved
 
 
-def _agrees_at_every_budget(program, args):
+def _agrees_at_every_budget(program, args, edit=None):
+    """Diff tier-2 against the oracle; with ``edit``, first warm the
+    method onto tier-2, then apply ``edit(MethodEditor)`` in both."""
     ref = _runtime(reference_runtime, program)
-    full = _outcome(ref, args, FULL)
     fast = _runtime(Runtime, program)
     with _tier2_from_first_call():
+        if edit is not None:
+            assert _outcome(fast, args, FULL) == _outcome(ref, args, FULL)
+            main = fast.find_method("G.main")
+            assert main._compiled.tier2 is not None
+            for runtime in (ref, fast):
+                edit(MethodEditor(runtime.find_method("G.main"), label_ns="s"))
+            assert main._compiled is None
+        full = _outcome(ref, args, FULL)
         assert _outcome(fast, args, FULL) == full
         for budget in range(1, min(full[2] + 1, FULL) + 1):
             assert _outcome(fast, args, budget) == _outcome(ref, args, budget), budget
@@ -276,6 +290,48 @@ def test_tier2_matches_reference_at_every_budget(program, args):
         )
         assert not errors(verify_method(main)), "generator left the verifier's language"
     _agrees_at_every_budget(program, args[:params])
+
+
+def _relabel(instructions, prefix):
+    """``instructions`` with every label name prefixed."""
+    out = []
+    for i in instructions:
+        if i.op is Op.LABEL:
+            i = dataclasses.replace(i, value=prefix + i.value)
+        elif i.target is not None:
+            i = dataclasses.replace(i, target=prefix + i.target)
+        elif i.op is Op.SWITCH:
+            i = dataclasses.replace(i, value={k: prefix + v for k, v in i.value.items()})
+        out.append(i)
+    return out
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    program=programs(), donor=programs(),
+    args=st.lists(ARGS, min_size=2, max_size=2), data=st.data(),
+)
+def test_tier2_matches_reference_after_a_splice(program, donor, args, data):
+    """A warm tier-2 method edited between runs: the splice replaces a
+    random range with a random slice of another generated method (its
+    labels renamed apart; labels the edit drops become undefined)."""
+    length = len(program[0])
+    start = data.draw(st.integers(0, length))
+    end = data.draw(st.integers(start, min(start + 4, length)))
+    lo = data.draw(st.integers(0, len(donor[0])))
+    hi = data.draw(st.integers(lo, min(lo + 8, len(donor[0]))))
+    fragment = _relabel(donor[0][lo:hi], "s_")
+
+    def edit(editor):
+        editor.splice(start, end, fragment)
+        editor.method.grow_registers(max(donor[1] - editor.method.registers, 0))
+
+    _agrees_at_every_budget(program, args[: program[2]], edit)
 
 
 #: Loops tier-2 must not run as simple inner loops: one is entered in

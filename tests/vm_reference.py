@@ -16,8 +16,8 @@ Test-only.  :class:`ReferenceInterpreter` subclasses
 :class:`repro.vm.interpreter.Interpreter` and overrides only
 :meth:`execute`, so payload frames (``execute_payload``) run through the
 same loop; :func:`reference_runtime` builds a runtime that uses it.  It
-intentionally has no compiled-body cache, no superinstructions and no
-inline caches: every step re-decodes, every branch resolves through the
+intentionally has no compiled-body cache and no inline caches: every
+step re-decodes, every branch resolves through the
 label map, every INVOKE probes the method table.
 """
 
