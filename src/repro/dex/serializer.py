@@ -35,7 +35,7 @@ from typing import List, Tuple
 from repro.dex.instructions import Instr
 from repro.dex.model import DexClass, DexField, DexFile, DexMethod
 from repro.dex.opcodes import Op
-from repro.errors import DexFormatError
+from repro.errors import DexError, DexFormatError
 
 def _unpack_from(fmt: str, blob: bytes, offset: int):
     """struct.unpack_from that fails with the library's own error."""
@@ -83,7 +83,11 @@ def _unpack_str(blob: bytes, offset: int) -> Tuple[str, int]:
     offset += 4
     if offset + length > len(blob):
         raise DexFormatError("truncated string body")
-    return blob[offset : offset + length].decode("utf-8"), offset + length
+    try:
+        text = blob[offset : offset + length].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DexFormatError(f"string is not UTF-8: {exc}") from None
+    return text, offset + length
 
 
 def _pack_value(value) -> bytes:
@@ -148,6 +152,8 @@ def _unpack_value(blob: bytes, offset: int):
         offset += 2
         table = {}
         for _ in range(count):
+            if blob[offset : offset + 1] == _TAG_TABLE:
+                raise DexFormatError("switch-table key is itself a table")
             key, offset = _unpack_value(blob, offset)
             label, offset = _unpack_str(blob, offset)
             table[key] = label
@@ -251,7 +257,8 @@ def deserialize_dex(blob: bytes) -> DexFile:
 
     Raises :class:`DexFormatError` on malformed input -- which is what an
     attacker gets when force-decrypting a payload under the wrong key, if
-    the PKCS#7 padding happens to validate.
+    the PKCS#7 padding happens to validate.  Structural errors the model
+    raises (a duplicate class or method, say) are reported the same way.
     """
     if blob[:4] != MAGIC:
         raise DexFormatError("bad magic (not an RDEX blob)")
@@ -265,6 +272,16 @@ def deserialize_dex(blob: bytes) -> DexFile:
         blob = blob[: len(blob) - _CRC_SIZE]
         if zlib.crc32(blob) != expected_crc:
             raise DexFormatError("crc mismatch (corrupt dex blob)")
+    try:
+        return _unpack_classes(blob)
+    except DexFormatError:
+        raise
+    except DexError as exc:
+        raise DexFormatError(f"invalid dex structure: {exc}") from None
+
+
+def _unpack_classes(blob: bytes) -> DexFile:
+    """Parse the class section of a footer-stripped blob."""
     (class_count,) = _unpack_from(">H", blob, 6)
     offset = 8
     dex = DexFile()
@@ -275,6 +292,8 @@ def deserialize_dex(blob: bytes) -> DexFile:
         offset += 2
         for _ in range(field_count):
             field_name, offset = _unpack_str(blob, offset)
+            if offset >= len(blob):
+                raise DexFormatError("truncated field static flag")
             static = blob[offset] == 1
             offset += 1
             initial, offset = _unpack_value(blob, offset)

@@ -144,6 +144,14 @@ class DynodroidGenerator(EventGenerator):
         self._rewarded: Dict[Tuple[EventKind, str], int] = {
             pair: 1 for pair in self.declared
         }
+        #: Explore weights, one slot per declared pair (the pairs are
+        #: unique); only the slot whose counters change is recomputed.
+        self._slot: Dict[Tuple[EventKind, str], int] = {
+            pair: index for index, pair in enumerate(self.declared)
+        }
+        self._weights: List[float] = [
+            self._weight(pair) for pair in self.declared
+        ]
         self._harvested: List[str] = self._harvest_string_constants(dex)
         self._last: Optional[Tuple[EventKind, str]] = None
         self._last_event: Optional[Event] = None
@@ -166,6 +174,7 @@ class DynodroidGenerator(EventGenerator):
     def events(self) -> Iterator[Event]:
         if not self.declared:
             raise ValueError("app declares no event handlers")
+        slots = range(len(self.declared))
         while True:
             # Exploit: replay a mutation of an input that reached new
             # code -- this is what drives deep conditions.
@@ -174,21 +183,29 @@ class DynodroidGenerator(EventGenerator):
                 self._last = (event.kind, event.target_class)
                 self._last_event = event
                 self._fired[self._last] = self._fired.get(self._last, 0) + 1
+                self._refresh(self._last)
                 yield event
                 continue
             # Explore: weight = reward / (1 + times fired), favoring
-            # under-exercised and productive handlers.
-            weights = [
-                self._rewarded[pair] / (1.0 + self._fired[pair])
-                for pair in self.declared
-            ]
-            pair = self.rng.choices(self.declared, weights=weights, k=1)[0]
+            # under-exercised and productive handlers.  Drawing an index
+            # consumes the same random numbers as drawing the pair.
+            index = self.rng.choices(slots, self._weights, k=1)[0]
+            pair = self.declared[index]
             self._fired[pair] += 1
+            self._weights[index] = self._weight(pair)
             self._last = pair
             kind, target = pair
             event = Event(kind, target, self._args_for(kind))
             self._last_event = event
             yield event
+
+    def _weight(self, pair: Tuple[EventKind, str]) -> float:
+        return self._rewarded[pair] / (1.0 + self._fired[pair])
+
+    def _refresh(self, pair: Tuple[EventKind, str]) -> None:
+        index = self._slot.get(pair)
+        if index is not None:
+            self._weights[index] = self._weight(pair)
 
     def _mutate(self, event: Event) -> Event:
         """Replay with small integer perturbations (or verbatim)."""
@@ -212,6 +229,7 @@ class DynodroidGenerator(EventGenerator):
             self._rewarded[self._last] = (
                 self._rewarded.get(self._last, 1) + new_coverage
             )
+            self._refresh(self._last)
             if self._last_event is not None:
                 self._productive.append(self._last_event)
                 if len(self._productive) > 64:

@@ -442,6 +442,9 @@ class Framework:
     def _bomb_decrypt(self, args, ctx):
         """Decrypt a payload blob; wrong keys crash (bad padding).
 
+        Successful plaintexts are memoised on the post-fault ciphertext
+        (``Runtime.decrypt_memo``): the fault point runs before the lookup.
+
         Under containment a failed decrypt (or a quarantined bomb)
         yields the empty-blob sentinel, which ``bomb.load_run`` turns
         into a fall-through -- the host app never sees the failure.
@@ -457,7 +460,10 @@ class Framework:
             ciphertext = fault_point(
                 "crypto.aes.decrypt", ciphertext, device=runtime.device
             )
-            blob = AES128(key).decrypt_cbc(ciphertext, b"\x00" * 16)
+            blob = runtime.decrypt_memo.get((ciphertext, key))
+            if blob is None:
+                blob = AES128(key).decrypt_cbc(ciphertext, b"\x00" * 16)
+                runtime.decrypt_memo[(ciphertext, key)] = blob
         except (BadPaddingError, CryptoError, FaultInjected) as exc:
             return self._contain(
                 bomb_id,
@@ -475,11 +481,11 @@ class Framework:
         """Load a decrypted dex blob and run its entry with the register
         file array; returns the (possibly mutated) array.
 
-        Only loading is cached, by blob digest: ``bomb.decrypt`` runs
-        on every outer-trigger hit, and a repeat of a decrypted blob
-        reuses the loaded class.  (Section 8.4 caches the decrypted
-        code itself; a decrypt cache here would skip the
-        ``crypto.aes.decrypt`` fault point on repeats.)
+        Loading is cached by blob digest, so a repeat of a decrypted
+        blob reuses the loaded class.  ``bomb.decrypt`` memoises its
+        plaintext on the post-fault ciphertext (Section 8.4 caches the
+        decrypted code too), so both fault points still run on every
+        outer-trigger hit.
 
         This is the containment boundary around payload execution:
         load/deserialize failures and *accidental* interpretation

@@ -159,6 +159,12 @@ class Runtime:
         #: bomb.load_run firings skip the pure-Python SHA-1 digest.
         #: Success-only: failing paths keep their original semantics.
         self._method_memo: Dict[tuple, DexMethod] = {}
+        #: (post-fault ciphertext, key) -> plaintext, filled by
+        #: bomb.decrypt.  CBC decryption is a pure function of both, so
+        #: a repeat firing skips only the AES rounds; the fault point
+        #: still runs first and a corrupted ciphertext is a miss.
+        #: Success-only, like the method memo.
+        self.decrypt_memo: Dict[tuple, bytes] = {}
 
         self.logs: List[str] = []
         self.ui_effects: List[tuple] = []

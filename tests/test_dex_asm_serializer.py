@@ -1,7 +1,10 @@
 """Assembler, disassembler and binary serializer round-trips."""
 
+import struct
+import zlib
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dex import (
     assemble,
@@ -12,7 +15,9 @@ from repro.dex import (
 )
 from repro.dex.assembler import parse_literal
 from repro.dex.disassembler import format_literal
-from repro.errors import DexError, DexFormatError
+from repro.dex.opcodes import Op
+from repro.errors import DexError, DexFormatError, VMCrash
+from repro.vm import Runtime
 
 
 FULL_SOURCE = """
@@ -181,3 +186,99 @@ def test_fuzzed_blobs_never_crash_uncontrolled(data):
         pass
     except (UnicodeDecodeError, OverflowError, MemoryError):
         pytest.fail("deserializer leaked a non-library exception")
+
+
+def _framed(classes: bytes, count: int = 1) -> bytes:
+    """A v2 RDEX blob around a hand-built class section, with a valid
+    crc footer, so the parser (not the crc check) sees the bytes."""
+    body = b"RDEX" + struct.pack(">HH", 2, count) + classes
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def _str(raw: bytes) -> bytes:
+    return struct.pack(">I", len(raw)) + raw
+
+
+def _empty_class(name: bytes) -> bytes:
+    return _str(name) + struct.pack(">HH", 0, 0)
+
+
+def _return_void_method(name: bytes) -> bytes:
+    return_void = list(Op).index(Op.RETURN_VOID)  # the serializer's numbering
+    return _str(name) + struct.pack(">HHI", 0, 0, 1) + struct.pack(">BB", return_void, 0)
+
+
+class TestSerializerLeaks:
+    """Well-framed blobs whose class section the model rejects: every
+    failure must surface as DexFormatError, the one type the class
+    loader contains."""
+
+    def test_non_utf8_name(self):
+        with pytest.raises(DexFormatError, match="UTF-8"):
+            deserialize_dex(_framed(_empty_class(b"\xff\xfe")))
+
+    def test_truncated_field_static_flag(self):
+        blob = _framed(_str(b"A") + struct.pack(">H", 1) + _str(b"f"))
+        with pytest.raises(DexFormatError, match="static flag"):
+            deserialize_dex(blob)
+
+    def test_switch_table_key_is_a_table(self):
+        nested = b"D" + struct.pack(">H", 1) + b"D" + struct.pack(">H", 0) + _str(b"x")
+        field = _str(b"f") + b"\x01" + nested
+        blob = _framed(_str(b"A") + struct.pack(">H", 1) + field + struct.pack(">H", 0))
+        with pytest.raises(DexFormatError, match="itself a table"):
+            deserialize_dex(blob)
+
+    def test_duplicate_class(self):
+        blob = _framed(_empty_class(b"A") * 2, count=2)
+        with pytest.raises(DexFormatError, match="duplicate class"):
+            deserialize_dex(blob)
+
+    def test_duplicate_method(self):
+        methods = struct.pack(">H", 2) + _return_void_method(b"m") * 2
+        blob = _framed(_str(b"A") + struct.pack(">H", 0) + methods)
+        with pytest.raises(DexFormatError, match="duplicate method"):
+            deserialize_dex(blob)
+
+    def test_class_loader_contains_the_leak(self):
+        runtime = Runtime(assemble(".class Host\n.method main 0\nreturn_void\n.end"))
+        blob = _framed(_empty_class(b"A") * 2, count=2)
+        with pytest.raises(VMCrash) as info:
+            runtime.load_blob_method(blob, "A.m", bomb_id="b0")
+        assert info.value.site == "dex.deserialize"
+
+
+_VALID_BLOB = serialize_dex(assemble(FULL_SOURCE))
+
+
+def _only_format_errors(blob: bytes) -> None:
+    try:
+        deserialize_dex(blob)
+    except DexFormatError:
+        pass
+
+
+def _refooted(body: bytes) -> bytes:
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+_DERANDOMIZED = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@_DERANDOMIZED
+@given(st.binary(max_size=96))
+def test_arbitrary_bytes_only_raise_format_errors(data):
+    _only_format_errors(data)
+    _only_format_errors(_refooted(b"RDEX" + struct.pack(">H", 2) + data))
+
+
+@_DERANDOMIZED
+@given(st.lists(st.tuples(st.integers(6, len(_VALID_BLOB) - 5), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_edited_valid_blob_only_raises_format_errors(edits):
+    # Byte edits past the magic/version, with the crc fixed up, reach
+    # every parser branch a random prefix cannot.
+    body = bytearray(_VALID_BLOB[:-4])
+    for index, value in edits:
+        body[index] = value
+    _only_format_errors(_refooted(bytes(body)))

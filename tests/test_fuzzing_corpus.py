@@ -1,5 +1,7 @@
 """Fuzzer models, sessions, and the synthetic corpus."""
 
+import random
+
 import pytest
 
 from repro.analysis import find_qualified_conditions
@@ -23,6 +25,8 @@ from repro.fuzzing import (
 from repro.vm import DevicePopulation, Runtime
 from repro.vm.events import declared_events, handler_name_for
 from repro.vm.interpreter import CoverageTracer
+
+from tests.dynodroid_reference import ReferenceDynodroid
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +72,49 @@ class TestGenerators:
         before = dict(generator._rewarded)
         generator.notify_coverage(event, 25)
         assert generator._rewarded != before
+
+
+@pytest.fixture(scope="module")
+def category_apps():
+    return [
+        build_app(f"Equiv{index}", category=profile.name, seed=index, scale=0.15)
+        for index, profile in enumerate(CATEGORY_PROFILES)
+    ]
+
+
+class TestDynodroidIncrementalWeights:
+    """The kept weight list draws exactly the events the per-event
+    rebuild (tests/dynodroid_reference.py) draws."""
+
+    def test_plain_streams_identical(self, category_apps):
+        for bundle in category_apps:
+            for seed in range(12):
+                assert DynodroidGenerator(bundle.dex, seed=seed).stream(300) == (
+                    ReferenceDynodroid(bundle.dex, seed=seed).stream(300)
+                ), (bundle.name, seed)
+
+    def test_feedback_driven_streams_identical(self, category_apps):
+        # Coverage rewards fill the productive pool (exploit branch) and
+        # reweight pairs; observed strings change the TEXT arguments.
+        for bundle in category_apps:
+            for seed in range(6):
+                fast = DynodroidGenerator(bundle.dex, seed=seed)
+                slow = ReferenceDynodroid(bundle.dex, seed=seed)
+                feedback = random.Random(seed)
+                fast_events, slow_events = fast.events(), slow.events()
+                for step in range(400):
+                    event = next(fast_events)
+                    assert event == next(slow_events), (bundle.name, seed, step)
+                    reward = feedback.choice((0, 0, 0, 1, 4, 25))
+                    fast.notify_coverage(event, reward)
+                    slow.notify_coverage(event, reward)
+                    if feedback.random() < 0.05:
+                        strings = [f"s{feedback.randrange(1000)}", "secret-token"]
+                        fast.notify_observed_strings(strings)
+                        slow.notify_observed_strings(strings)
+                assert fast._productive  # the exploit branch was live
+                assert fast._fired == slow._fired
+                assert fast._rewarded == slow._rewarded
 
 
 class TestSession:

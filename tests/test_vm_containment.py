@@ -488,3 +488,91 @@ class TestDecryptPayloadHelper:
         )
         with pytest.raises((BadPaddingError, CryptoError, DexFormatError)):
             decrypt_payload(ciphertext, "wrong", salt)
+
+
+class TestDecryptMemo:
+    """bomb.decrypt memoises plaintext on the post-fault ciphertext:
+    repeats skip the AES rounds, never the fault point or a failure."""
+
+    @pytest.fixture
+    def decrypts(self, monkeypatch):
+        import repro.vm.framework as framework
+
+        calls = []
+
+        class CountingAES(AES128):
+            def __init__(self, key):
+                super().__init__(key)
+                self.key = key
+
+            def decrypt_cbc(self, ciphertext, iv):
+                calls.append((ciphertext, self.key))
+                return super().decrypt_cbc(ciphertext, iv)
+
+        monkeypatch.setattr(framework, "AES128", CountingAES)
+        return calls
+
+    @staticmethod
+    def _ciphertext(constant=42):
+        spec = PayloadSpec(bomb_id="bm", payload_class="Bomb$bm", slots=0, app_name="A")
+        salt = Salt.from_seed(9)
+        return encrypt_payload(build_payload_dex(spec), constant, salt), salt
+
+    def _decrypt(self, runtime, ciphertext, key):
+        return runtime.framework.call(
+            "bomb.decrypt", [ciphertext, key, "bm"], runtime.session(budget=BUDGET)
+        )
+
+    def test_pirated_session_decrypts_each_payload_once(
+        self, decrypts, monkeypatch, pirated_apk
+    ):
+        import repro.vm.framework as framework
+        from repro.vm.sessions import SessionEngine
+
+        firings = []
+        real_fault_point = framework.fault_point
+
+        def counting_fault_point(site, data=None, device=None):
+            if site == "crypto.aes.decrypt":
+                firings.append(data)
+            return real_fault_point(site, data, device=device)
+
+        monkeypatch.setattr(framework, "fault_point", counting_fault_point)
+        outcome = SessionEngine(pirated_apk, seed=0).play_one(0)
+
+        satisfied = [
+            counts.get("outer_satisfied", 0) for counts in outcome.bomb_counts.values()
+        ]
+        assert max(satisfied) >= 2  # some bomb fires repeatedly
+        assert sum(satisfied) == len(firings)
+        assert len(decrypts) == len(set(decrypts)) == len(set(firings))
+
+    def test_fault_on_a_warm_repeat_is_contained(self, decrypts):
+        runtime = installed_runtime(ContainmentPolicy())
+        ciphertext, salt = self._ciphertext()
+        key = bytes(derive_key(42, salt))
+        plaintext = self._decrypt(runtime, ciphertext, key)
+        assert plaintext and len(decrypts) == 1
+
+        plan = FaultPlan(seed=1).arm("crypto.aes.decrypt", "flip", magnitude=64)
+        with active_plan(plan):
+            assert self._decrypt(runtime, ciphertext, key) == b""
+        assert plan.fires("crypto.aes.decrypt") == 1
+        assert runtime.bombs.counts["bm"]["payload_error"] == 1
+        assert runtime.bombs.counts["bm"]["outer_satisfied"] == 1
+        assert len(decrypts) == 2  # the corrupted ciphertext missed the memo
+
+        assert self._decrypt(runtime, ciphertext, key) == plaintext
+        assert len(decrypts) == 2
+        assert runtime.bombs.counts["bm"]["outer_satisfied"] == 2
+
+    def test_padding_failure_is_not_memoised(self, decrypts):
+        runtime = installed_runtime(ContainmentPolicy())
+        ciphertext, salt = self._ciphertext()
+        wrong_key = bytes(derive_key(43, salt))
+        assert self._decrypt(runtime, ciphertext, wrong_key) == b""
+        assert self._decrypt(runtime, ciphertext, wrong_key) == b""
+        assert len(decrypts) == 2
+        assert runtime.bombs.counts["bm"]["payload_error"] == 2
+        assert "outer_satisfied" not in runtime.bombs.counts["bm"]
+        assert not runtime.decrypt_memo
