@@ -65,17 +65,6 @@ class ControlFlowGraph:
         return seen
 
 
-def _branch_targets(method: DexMethod, pc: int) -> List[int]:
-    """Instruction indices this terminator may transfer control to."""
-    instr = method.instructions[pc]
-    targets: List[int] = []
-    if instr.target is not None:
-        targets.append(method.resolve(instr.target))
-    if instr.op is Op.SWITCH:
-        targets.extend(method.resolve(label) for label in instr.value.values())
-    return targets
-
-
 def build_cfg(method: DexMethod) -> ControlFlowGraph:
     """Build the CFG of ``method``."""
     instructions = method.instructions

@@ -26,9 +26,6 @@ class HotMethodProfile:
     candidate_methods: List[str]
     events_played: int = 0
 
-    def is_hot(self, qualified_name: str) -> bool:
-        return qualified_name in self.hot_methods
-
 
 def profile_hot_methods(
     runtime,

@@ -27,11 +27,16 @@ work demands -- under a hostile, partially broken environment:
              automatic promotion, epoch fencing of stale leaders,
              client re-routing -- then checks the verdict math against
              an uninterrupted run
+``matrix``   the scaffold all three share: the report frame, and the
+             scenario x offset loop and signed report stream of the
+             crash and failover matrices
 
 ``faults`` is import-light on purpose (the VM and reporting layers call
 its ``fault_point`` hook); the harness pulls in the whole pipeline and
 is therefore loaded lazily via module ``__getattr__``.
 """
+
+from importlib import import_module
 
 from repro.chaos.faults import (
     FAULT_SITES,
@@ -45,6 +50,26 @@ from repro.chaos.faults import (
     install_plan,
 )
 
+#: The drivers pull in the whole pipeline (and the socket layer), so
+#: their names resolve lazily: name -> defining module.
+_LAZY = {
+    **dict.fromkeys(
+        ("ChaosConfig", "ChaosReport", "ChaosRunner", "TrialRecord",
+         "run_chaos"),
+        "harness",
+    ),
+    **dict.fromkeys(
+        ("CrashRestartConfig", "CrashRestartReport", "CrashRestartRunner",
+         "CrashTrialRecord", "run_crash_restart"),
+        "crash",
+    ),
+    **dict.fromkeys(
+        ("FAILOVER_SCENARIOS", "FailoverChaosConfig", "FailoverChaosReport",
+         "FailoverChaosRunner", "FailoverTrialRecord", "run_failover_chaos"),
+        "failover",
+    ),
+}
+
 __all__ = [
     "FAULT_SITES",
     "ArmedFault",
@@ -55,54 +80,13 @@ __all__ = [
     "current_plan",
     "fault_point",
     "install_plan",
-    "ChaosConfig",
-    "ChaosReport",
-    "ChaosRunner",
-    "TrialRecord",
-    "run_chaos",
-    "CrashRestartConfig",
-    "CrashRestartReport",
-    "CrashRestartRunner",
-    "CrashTrialRecord",
-    "run_crash_restart",
-    "FAILOVER_SCENARIOS",
-    "FailoverChaosConfig",
-    "FailoverChaosReport",
-    "FailoverChaosRunner",
-    "FailoverTrialRecord",
-    "run_failover_chaos",
+    *_LAZY,
 ]
-
-_HARNESS_NAMES = {
-    "ChaosConfig", "ChaosReport", "ChaosRunner", "TrialRecord", "run_chaos",
-}
-
-_CRASH_NAMES = {
-    "CrashRestartConfig", "CrashRestartReport", "CrashRestartRunner",
-    "CrashTrialRecord", "run_crash_restart",
-}
-
-_FAILOVER_NAMES = {
-    "FAILOVER_SCENARIOS", "FailoverChaosConfig", "FailoverChaosReport",
-    "FailoverChaosRunner", "FailoverTrialRecord", "run_failover_chaos",
-}
 
 
 def __getattr__(name: str):
     # Lazy: harness imports the VM, which imports repro.chaos.faults --
-    # resolving it here at first use keeps that edge acyclic.  The
-    # crash-restart and failover drivers pull in the reporting stack
-    # (and its socket layer) the same way.
-    if name in _HARNESS_NAMES:
-        from repro.chaos import harness
-
-        return getattr(harness, name)
-    if name in _CRASH_NAMES:
-        from repro.chaos import crash
-
-        return getattr(crash, name)
-    if name in _FAILOVER_NAMES:
-        from repro.chaos import failover
-
-        return getattr(failover, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # resolving it here at first use keeps that edge acyclic.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"repro.chaos.{_LAZY[name]}"), name)

@@ -28,16 +28,21 @@ so :meth:`CrashRestartReport.digest` replays bit for bit.
 from __future__ import annotations
 
 import os
-import random
-import shutil
 import struct
-import tempfile
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.crypto import RSAKeyPair, sha1_hex
-from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
-from repro.reporting.wire import DetectionReport, SignedReport, sign_report
+from repro.chaos.matrix import (
+    ORIGINAL_KEY,
+    PIRATE_KEY,
+    POLICY,
+    SHARDS,
+    MatrixReport,
+    ScenarioMatrix,
+    send,
+)
+from repro.reporting.server import ReportServer, SubmitStatus
+from repro.reporting.wire import SignedReport
 
 #: The two stream flavours: genuine devices cite the developer's own
 #: key (no takedown may ever fire); pirated devices cite a foreign key
@@ -45,8 +50,7 @@ from repro.reporting.wire import DetectionReport, SignedReport, sign_report
 CRASH_SCENARIOS = ("genuine", "pirated")
 
 _APP = "CrashApp"
-_ORIGINAL_KEY = "aa" * 20
-_PIRATE_KEY = "bb" * 20
+_PROCESS_EVERY = 7      # drain + verdict cadence during ingest
 
 
 @dataclass
@@ -59,10 +63,6 @@ class CrashRestartConfig:
     #: stream (early / middle / late) from ``reports``.
     crash_offsets: Tuple[int, ...] = ()
     scenarios: Tuple[str, ...] = CRASH_SCENARIOS
-    shards: int = 4
-    duplicate_every: int = 5     # deliberate client double-sends
-    process_every: int = 7       # drain + verdict cadence during ingest
-    torn_tail: bool = True       # simulate a partial append at the kill
     snapshot_every: int = 16     # appends between snapshot compactions
     #: Parent directory for per-trial data dirs (None = a temp dir that
     #: is removed afterwards).
@@ -92,68 +92,30 @@ class CrashTrialRecord:
     violations: Tuple[str, ...]
 
 
-@dataclass
-class CrashRestartReport:
+class CrashRestartReport(MatrixReport):
     """Everything a kill-and-recover run observed."""
 
-    seed: int
-    trials: List[CrashTrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
+    NAME = "crash-restart"
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def digest(self) -> str:
-        """Replay fingerprint: same seed, same digest, bit for bit."""
-        state = (
-            self.seed,
-            tuple(astuple(record) for record in self.trials),
-            tuple(self.violations),
-        )
-        return sha1_hex(repr(state).encode("utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest(),
-            "violations": list(self.violations),
-            "trials": [
-                dict(asdict(r), violations=list(r.violations))
-                for r in self.trials
-            ],
-        }
-
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-        lines = [
-            f"crash-restart: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + ")",
+    def _body(self) -> List[str]:
+        return [
             f"WAL records replayed: "
             f"{sum(r.wal_replayed for r in self.trials)}; torn tails "
             f"recovered: {sum(r.torn_records for r in self.trials)}; "
             f"snapshot restores: "
             f"{sum(1 for r in self.trials if r.snapshot_loaded)}",
-            f"replay digest: {self.digest()}",
         ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
 
 
-class CrashRestartRunner:
+class CrashRestartRunner(ScenarioMatrix):
     """Owns the deterministic streams; runs one trial at a time."""
+
+    APP = _APP
+    REPORT = CrashRestartReport
+    TMP_PREFIX = "repro-crash-"
 
     def __init__(self, config: CrashRestartConfig) -> None:
         self.config = config
-        self.policy = TakedownPolicy(distinct_devices=3, window_seconds=3600.0)
         self._streams: Dict[str, List[SignedReport]] = {}
         self._baselines: Dict[str, tuple] = {}
 
@@ -162,32 +124,20 @@ class CrashRestartRunner:
     def stream(self, scenario: str) -> List[SignedReport]:
         """The fixed, pre-signed report stream for one scenario."""
         if scenario not in self._streams:
-            config = self.config
-            rng = random.Random(f"{config.seed}:{scenario}")
-            key = RSAKeyPair.generate(seed=config.seed * 77 + 1)
-            observed = _PIRATE_KEY if scenario == "pirated" else _ORIGINAL_KEY
-            devices = max(3, config.reports // 3)
-            signed = []
-            for i in range(config.reports):
-                report = DetectionReport(
-                    app_name=_APP,
-                    bomb_id=f"b{i % 4:02d}",
-                    device_id=f"dev-{i % devices:04d}",
-                    observed_key_hex=observed,
-                    timestamp=float(i),
-                    nonce=rng.getrandbits(32),
-                )
-                signed.append(sign_report(report, key))
-            self._streams[scenario] = signed
+            self._streams[scenario] = self.signed_stream(
+                f"{self.config.seed}:{scenario}",
+                self.config.seed * 77 + 1,
+                PIRATE_KEY if scenario == "pirated" else ORIGINAL_KEY,
+            )
         return self._streams[scenario]
 
     def _make_server(self, data_dir: Optional[str] = None) -> ReportServer:
         server = ReportServer(
-            shards=self.config.shards, policy=self.policy,
+            shards=SHARDS, policy=POLICY,
             data_dir=data_dir, snapshot_every=self.config.snapshot_every,
         )
         if _APP not in server.apps:
-            server.register_app(_APP, _ORIGINAL_KEY)
+            server.register_app(_APP, ORIGINAL_KEY)
         return server
 
     def _ingest(
@@ -202,26 +152,9 @@ class CrashRestartRunner:
     ) -> None:
         """Drive ``stream[start:end]`` with the fixed duplicate/process
         cadence, recording accepted ``(device, nonce)`` pairs."""
-        config = self.config
         for i in range(start, end):
-            signed = stream[i]
-            status = server.submit(signed)
-            pair = (signed.report.device_id, signed.report.nonce)
-            if status is SubmitStatus.ACCEPTED:
-                if pair in accepted:
-                    violations.append(
-                        f"{prefix} (device, nonce) {pair} accepted twice"
-                    )
-                accepted.add(pair)
-            if i % config.duplicate_every == 2:
-                # A retrying client double-sends the previous report; it
-                # must never be counted again.
-                dup = server.submit(stream[i - 1])
-                if dup is SubmitStatus.ACCEPTED:
-                    violations.append(
-                        f"{prefix} double-send of report {i - 1} accepted"
-                    )
-            if i % config.process_every == config.process_every - 1:
+            send(server.submit, stream, i, accepted, violations, prefix)
+            if i % _PROCESS_EVERY == _PROCESS_EVERY - 1:
                 server.process()
                 server.verdict(_APP)
         server.process()
@@ -275,23 +208,19 @@ class CrashRestartRunner:
 
         # -- kill: no compaction, no flush; WAL appends were unbuffered.
         server.crash()
-        torn_expected = 0
-        if config.torn_tail:
-            # The dying process got partway through an (unacked) append:
-            # a plausible length, a bogus crc, a fraction of the payload.
-            with open(os.path.join(data_dir, "wal-000.log"), "ab") as fh:
-                fh.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
-            torn_expected = 1
+        # The dying process got partway through an (unacked) append: a
+        # plausible length, a bogus crc, a fraction of the payload.
+        with open(os.path.join(data_dir, "wal-000.log"), "ab") as fh:
+            fh.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
 
         recovered = ReportServer.recover(
-            data_dir, shards=config.shards, policy=self.policy,
+            data_dir, shards=SHARDS, policy=POLICY,
             snapshot_every=config.snapshot_every,
         )
         torn = int(recovered.metrics.counter("recovery.torn_records").value)
-        if torn != torn_expected:
+        if torn != 1:
             violations.append(
-                f"{prefix} recovery counted {torn} torn records, "
-                f"expected {torn_expected}"
+                f"{prefix} recovery counted {torn} torn records, expected 1"
             )
         wal_replayed = int(recovered.metrics.counter("wal.replayed").value)
         snapshot_loaded = (
@@ -361,33 +290,6 @@ class CrashRestartRunner:
             offender=offender,
             violations=tuple(violations),
         )
-
-    # -- the whole matrix ---------------------------------------------------
-
-    def run(self) -> CrashRestartReport:
-        config = self.config
-        report = CrashRestartReport(seed=config.seed)
-        root = config.data_dir
-        owns_root = root is None
-        if owns_root:
-            root = tempfile.mkdtemp(prefix="repro-crash-")
-        try:
-            for scenario in config.scenarios:
-                for offset in config.offsets():
-                    trial_dir = os.path.join(
-                        root, f"{scenario}-{offset:04d}"
-                    )
-                    # A leftover dir from an earlier run would replay
-                    # into the fresh trial and break determinism.
-                    shutil.rmtree(trial_dir, ignore_errors=True)
-                    os.makedirs(trial_dir)
-                    record = self.run_trial(scenario, offset, trial_dir)
-                    report.trials.append(record)
-                    report.violations.extend(record.violations)
-        finally:
-            if owns_root:
-                shutil.rmtree(root, ignore_errors=True)
-        return report
 
 
 def run_crash_restart(config: CrashRestartConfig) -> CrashRestartReport:

@@ -45,19 +45,24 @@ digest; every *count* in the digest is a pure function of the seed.
 from __future__ import annotations
 
 import os
-import random
-import shutil
-import tempfile
-from dataclasses import asdict, astuple, dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from repro.chaos.faults import FaultPlan, active_plan
-from repro.crypto import RSAKeyPair, sha1_hex
+from repro.chaos.matrix import (
+    ORIGINAL_KEY,
+    PIRATE_KEY,
+    POLICY,
+    SHARDS,
+    MatrixReport,
+    ScenarioMatrix,
+    send,
+)
 from repro.errors import ReportingError
 from repro.reporting.net.cluster import MAX_TICKS, Cluster
 from repro.reporting.net.transport import TcpTransport
-from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
-from repro.reporting.wire import DetectionReport, SignedReport, sign_report
+from repro.reporting.server import ReportServer, SubmitStatus
+from repro.reporting.wire import SignedReport
 
 FAILOVER_SCENARIOS = (
     "sigkill",
@@ -71,17 +76,10 @@ FAILOVER_SCENARIOS = (
 _LIVE_LEADER = ("partition", "stale_leader")
 
 _APP = "FailoverApp"
-_ORIGINAL_KEY = "aa" * 20
-_PIRATE_KEY = "bb" * 20
 
-_DUPLICATE_EVERY = 5     # deliberate client double-sends
 #: Leader and promoted follower alike; snapshot_every keeps compaction
 #: out of the counts.
-_SERVER_CONFIG = dict(
-    shards=4,
-    policy=TakedownPolicy(distinct_devices=3, window_seconds=3600.0),
-    snapshot_every=4096,
-)
+_SERVER_CONFIG = dict(shards=SHARDS, policy=POLICY, snapshot_every=4096)
 
 
 @dataclass
@@ -126,47 +124,13 @@ class FailoverTrialRecord:
     violations: Tuple[str, ...]
 
 
-@dataclass
-class FailoverChaosReport:
+class FailoverChaosReport(MatrixReport):
     """Everything a kill-the-leader run observed."""
 
-    seed: int
-    trials: List[FailoverTrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
+    NAME = "failover"
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def digest(self) -> str:
-        """Replay fingerprint: same seed, same digest, bit for bit."""
-        state = (
-            self.seed,
-            tuple(astuple(record) for record in self.trials),
-            tuple(self.violations),
-        )
-        return sha1_hex(repr(state).encode("utf-8"))
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "ok": self.ok,
-            "digest": self.digest(),
-            "violations": list(self.violations),
-            "trials": [
-                dict(asdict(r), violations=list(r.violations))
-                for r in self.trials
-            ],
-        }
-
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-        lines = [
-            f"failover: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + ")",
+    def _body(self) -> List[str]:
+        return [
             f"promotions: {len(self.trials)} automatic, 0 manual; epochs "
             f"reached: {sorted({r.epoch for r in self.trials})}",
             f"fences: {sum(r.fences_sent for r in self.trials)} sent, "
@@ -174,18 +138,15 @@ class FailoverChaosReport:
             f"leaders answered NOT_LEADER "
             f"{sum(r.stale_not_leader for r in self.trials)} time(s), "
             f"accepted 0 post-promotion writes",
-            f"replay digest: {self.digest()}",
         ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
 
 
-class FailoverChaosRunner:
+class FailoverChaosRunner(ScenarioMatrix):
     """Owns the deterministic stream; runs one cluster trial at a time."""
+
+    APP = _APP
+    REPORT = FailoverChaosReport
+    TMP_PREFIX = "repro-failover-"
 
     def __init__(self, config: FailoverChaosConfig) -> None:
         self.config = config
@@ -197,31 +158,18 @@ class FailoverChaosRunner:
     def stream(self) -> List[SignedReport]:
         """The fixed, pre-signed pirated report stream."""
         if self._stream is None:
-            config = self.config
-            rng = random.Random(f"{config.seed}:failover")
-            key = RSAKeyPair.generate(seed=config.seed * 91 + 3)
-            devices = max(3, config.reports // 3)
-            self._stream = [
-                sign_report(
-                    DetectionReport(
-                        app_name=_APP,
-                        bomb_id=f"b{i % 4:02d}",
-                        device_id=f"dev-{i % devices:04d}",
-                        observed_key_hex=_PIRATE_KEY,
-                        timestamp=float(i),
-                        nonce=rng.getrandbits(32),
-                    ),
-                    key,
-                )
-                for i in range(config.reports)
-            ]
+            self._stream = self.signed_stream(
+                f"{self.config.seed}:failover",
+                self.config.seed * 91 + 3,
+                PIRATE_KEY,
+            )
         return self._stream
 
     def baseline(self) -> tuple:
         """Uninterrupted in-memory run: (verdict, offender, accepted)."""
         if self._baseline is None:
             server = ReportServer(**_SERVER_CONFIG)
-            server.register_app(_APP, _ORIGINAL_KEY)
+            server.register_app(_APP, ORIGINAL_KEY)
             accepted: Set[Tuple[str, int]] = set()
             for signed in self.stream():
                 if server.submit(signed) is SubmitStatus.ACCEPTED:
@@ -254,7 +202,7 @@ class FailoverChaosRunner:
             os.path.join(trial_dir, "leader"),
             os.path.join(trial_dir, "replica"),
             _SERVER_CONFIG,
-            {_APP: _ORIGINAL_KEY},
+            {_APP: ORIGINAL_KEY},
             heartbeat_interval=0.05,
         )
         try:
@@ -278,21 +226,7 @@ class FailoverChaosRunner:
         transport = TcpTransport([leader_endpoint])
         accepted_before: Set[Tuple[str, int]] = set()
         for i in range(kill_offset):
-            signed = stream[i]
-            status = transport(signed)
-            pair = (signed.report.device_id, signed.report.nonce)
-            if status is SubmitStatus.ACCEPTED:
-                if pair in accepted_before:
-                    violations.append(
-                        f"{prefix} (device, nonce) {pair} accepted twice"
-                    )
-                accepted_before.add(pair)
-            if i % _DUPLICATE_EVERY == 2:
-                dup = transport(stream[i - 1])
-                if dup is SubmitStatus.ACCEPTED:
-                    violations.append(
-                        f"{prefix} double-send of report {i - 1} accepted"
-                    )
+            send(transport, stream, i, accepted_before, violations, prefix)
         transport.close()
         # Catch-up barrier: the matrix asserts *lossless* failover, so
         # the follower must hold every acked record before the kill
@@ -454,29 +388,6 @@ class FailoverChaosRunner:
             offender=offender,
             violations=tuple(violations),
         )
-
-    # -- the whole matrix ---------------------------------------------------
-
-    def run(self) -> FailoverChaosReport:
-        config = self.config
-        report = FailoverChaosReport(seed=config.seed)
-        root = config.data_dir
-        owns_root = root is None
-        if owns_root:
-            root = tempfile.mkdtemp(prefix="repro-failover-")
-        try:
-            for scenario in config.scenarios:
-                for offset in config.offsets():
-                    trial_dir = os.path.join(root, f"{scenario}-{offset:04d}")
-                    shutil.rmtree(trial_dir, ignore_errors=True)
-                    os.makedirs(trial_dir)
-                    record = self.run_trial(scenario, offset, trial_dir)
-                    report.trials.append(record)
-                    report.violations.extend(record.violations)
-        finally:
-            if owns_root:
-                shutil.rmtree(root, ignore_errors=True)
-        return report
 
 
 def run_failover_chaos(config: FailoverChaosConfig) -> FailoverChaosReport:

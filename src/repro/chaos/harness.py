@@ -31,10 +31,11 @@ reproduce it bit for bit (``verify_replay``).
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.faults import FaultPlan, active_plan
+from repro.chaos.matrix import MatrixReport
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import build_app
 from repro.crypto import RSAKeyPair, sha1_hex
@@ -49,6 +50,11 @@ from repro.vm.events import Event
 from repro.vm.runtime import Runtime
 
 SCENARIOS = ("genuine", "pirated", "hostile")
+
+_APP = "ChaosApp"
+_CATEGORY = "Game"
+_ALPHA = 0.3
+_BREAKER_K = 3      # consecutive payload failures before quarantine
 
 #: Fault sites on the bomb-firing path (transparency scenario), with the
 #: injector mode each one gets.
@@ -69,15 +75,11 @@ class ChaosConfig:
 
     seed: int = 7
     trials: int = 25
-    app_name: str = "ChaosApp"
-    category: str = "Game"
     scale: float = 0.4
     events: int = 600
     devices: int = 2            # distinct pirate devices rotated across trials
     strict: bool = False        # ContainmentPolicy.strict (debugging)
-    breaker_k: int = 3
     profiling_events: int = 300
-    alpha: float = 0.3
     mesh: bool = False          # protect with the bomb mesh armed
 
 
@@ -101,18 +103,13 @@ class TrialRecord:
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(MatrixReport):
     """Everything a chaos run observed."""
 
-    seed: int
-    trials: List[TrialRecord] = field(default_factory=list)
-    violations: List[str] = field(default_factory=list)
+    NAME = "chaos"
+
     baseline_transparent: bool = True
     bombs_injected: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
     def digest(self) -> str:
         """Replay fingerprint: identical seeds must produce identical
@@ -152,30 +149,19 @@ class ChaosReport:
             ],
         }
 
-    def summary(self) -> str:
-        by_scenario: Dict[str, int] = {}
-        fires = 0
-        for record in self.trials:
-            by_scenario[record.scenario] = by_scenario.get(record.scenario, 0) + 1
-            fires += record.fault_fires
-        lines = [
-            f"chaos: seed {self.seed}, {len(self.trials)} trials ("
-            + ", ".join(f"{k}={v}" for k, v in sorted(by_scenario.items()))
-            + f"), {fires} faults fired",
+    def _title(self) -> str:
+        fires = sum(r.fault_fires for r in self.trials)
+        return super()._title() + f", {fires} faults fired"
+
+    def _body(self) -> List[str]:
+        return [
             f"bombs injected: {self.bombs_injected}; baseline transparency: "
             + ("OK" if self.baseline_transparent else "VIOLATED"),
             f"contained payload errors: "
             f"{sum(r.payload_errors for r in self.trials)}; quarantines: "
             f"{sum(r.quarantines for r in self.trials)}; degraded trials: "
             f"{sum(1 for r in self.trials if r.degraded)}",
-            f"replay digest: {self.digest()}",
         ]
-        if self.violations:
-            lines.append(f"INVARIANT VIOLATIONS ({len(self.violations)}):")
-            lines.extend(f"  {v}" for v in self.violations)
-        else:
-            lines.append("invariants: all held")
-        return "\n".join(lines)
 
 
 class _SessionResult:
@@ -207,14 +193,13 @@ class ChaosRunner:
     def __init__(self, config: ChaosConfig) -> None:
         self.config = config
         bundle = build_app(
-            config.app_name, category=config.category,
-            seed=config.seed, scale=config.scale,
+            _APP, category=_CATEGORY, seed=config.seed, scale=config.scale
         )
         self.bundle = bundle
         protect_config = BombDroidConfig(
             seed=config.seed,
             profiling_events=config.profiling_events,
-            alpha=config.alpha,
+            alpha=_ALPHA,
             mesh=config.mesh,
         )
         self.protected, self.instrumentation = BombDroid(protect_config).protect(
@@ -244,7 +229,7 @@ class ChaosRunner:
 
     def _policy(self) -> ContainmentPolicy:
         return ContainmentPolicy(
-            max_consecutive_failures=self.config.breaker_k,
+            max_consecutive_failures=_BREAKER_K,
             strict=self.config.strict,
         )
 
@@ -397,10 +382,10 @@ class ChaosRunner:
             )
         for bomb_id, kinds in bombs.counts.items():
             q = kinds.get("quarantined", 0)
-            if q and kinds.get("payload_error", 0) < self.config.breaker_k * q:
+            if q and kinds.get("payload_error", 0) < _BREAKER_K * q:
                 violations.append(
                     f"{prefix} bomb {bomb_id} quarantined after fewer than "
-                    f"{self.config.breaker_k} consecutive failures"
+                    f"{_BREAKER_K} consecutive failures"
                 )
         return TrialRecord(
             trial=trial, scenario="genuine", armed=plan.armed_sites(),

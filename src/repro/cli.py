@@ -38,9 +38,12 @@ from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
+from contextlib import contextmanager
 from typing import List, Optional
 
+from repro.apk.io import load_apk, save_apk_with_manifest
 from repro.core import BombDroid, BombDroidConfig
 from repro.corpus import NAMED_APPS, build_app, build_named_app
 from repro.crypto import RSAKeyPair
@@ -61,15 +64,6 @@ EXIT_CRASH = 4          # the VM crashed
 
 
 # ---------------------------------------------------------------------------
-# On-disk APK framing (moved to repro.apk.io; re-exported for callers)
-# ---------------------------------------------------------------------------
-
-from repro.apk.io import load_apk, save_apk, save_apk_with_manifest
-
-_save_with_manifest = save_apk_with_manifest
-
-
-# ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
@@ -80,7 +74,7 @@ def _cmd_build(args) -> int:
         bundle = build_named_app(args.name)
     else:
         bundle = build_app(args.name, category=args.category, seed=args.seed, scale=args.scale)
-    _save_with_manifest(bundle.apk, args.out)
+    save_apk_with_manifest(bundle.apk, args.out)
     print(f"built {args.name}: {bundle.dex.instruction_count()} instructions -> {args.out}")
     print(f"developer key seed: {args.seed + 7000 if args.name not in named else 'see corpus spec'}")
     return 0
@@ -100,7 +94,7 @@ def _cmd_protect(args) -> int:
         mute_after_detection=args.mute,
     )
     result = BombDroid(config).protect(apk, key, strict=args.strict)
-    _save_with_manifest(result.apk, args.out)
+    save_apk_with_manifest(result.apk, args.out)
     print(result.report.summary())
     print(f"size increase: {result.report.size_increase:+.1%} "
           f"({result.total_seconds:.2f}s) -> {args.out}")
@@ -109,8 +103,6 @@ def _cmd_protect(args) -> int:
 
 def _cmd_protect_batch(args) -> int:
     """Protect every ``*.rapk`` in a corpus directory, in parallel."""
-    import os
-
     from repro.pipeline import BatchOptions, OutcomeStatus, jobs_from_dir, protect_batch
 
     key = RSAKeyPair.generate(seed=args.key_seed)
@@ -132,7 +124,7 @@ def _cmd_protect_batch(args) -> int:
     for outcome in result.outcomes:
         if outcome.ok:
             out_path = os.path.join(args.out, f"{outcome.name}.rapk")
-            _save_with_manifest(outcome.result.apk, out_path)
+            save_apk_with_manifest(outcome.result.apk, out_path)
             origin = "cache" if outcome.cache_hit else f"{outcome.seconds:.2f}s"
             print(f"  {outcome.name}: {outcome.result.report.total_injected} "
                   f"bomb(s) [{origin}] -> {out_path}")
@@ -301,7 +293,7 @@ def _cmd_repackage(args) -> int:
     apk = load_apk(getattr(args, "in"))
     attacker = RSAKeyPair.generate(seed=args.key_seed)
     pirated = repackage(apk, attacker)
-    _save_with_manifest(pirated, args.out)
+    save_apk_with_manifest(pirated, args.out)
     print(f"repackaged with key {attacker.public.fingerprint().hex()[:16]}... -> {args.out}")
     return 0
 
@@ -398,6 +390,35 @@ class _ShutdownRequested(Exception):
     """SIGINT/SIGTERM during file ingestion: finish cleanly, exit 0."""
 
 
+@contextmanager
+def _stop_signals(handler):
+    """Route SIGINT and SIGTERM to ``handler(signum, frame)`` inside the
+    block; the previous handlers come back on exit."""
+    signums = (signal.SIGINT, signal.SIGTERM)
+    previous = [signal.signal(signum, handler) for signum in signums]
+    try:
+        yield
+    finally:
+        for signum, old in zip(signums, previous):
+            signal.signal(signum, old)
+
+
+def _policy(args):
+    """The takedown rule of ``--threshold`` and ``--window``."""
+    from repro.reporting import TakedownPolicy
+
+    return TakedownPolicy(
+        distinct_devices=args.threshold, window_seconds=args.window
+    )
+
+
+def _print_verdicts(emit, verdicts) -> None:
+    """One ``verdict for APP: ...`` line per app, in name order."""
+    for app_name, (verdict, offender) in sorted(verdicts.items()):
+        emit(f"verdict for {app_name}: {verdict.value}"
+             + (f" (key {offender})" if offender else ""))
+
+
 def _make_emitter(data_dir, name):
     """print() that also appends to ``<data_dir>/<name>``.
 
@@ -428,9 +449,7 @@ def _cmd_serve_reports(args) -> int:
     way on SIGINT/SIGTERM: drain the queues, close the WALs behind a
     final snapshot, print the verdict, exit 0.
     """
-    import signal
-
-    from repro.reporting import ReportServer, TakedownPolicy
+    from repro.reporting import ReportServer
 
     if args.key_hex:
         original_key = args.key_hex
@@ -438,14 +457,6 @@ def _cmd_serve_reports(args) -> int:
         original_key = load_apk(getattr(args, "in")).cert.fingerprint_hex()
     else:
         print("error: need --key-hex or --in (the original APK)", file=sys.stderr)
-        return EXIT_USAGE
-    if args.reports is None and args.listen is None:
-        print("error: need --reports (JSON lines) or --listen HOST:PORT",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.reports is not None and args.listen is not None:
-        print("error: --reports and --listen are mutually exclusive",
-              file=sys.stderr)
         return EXIT_USAGE
     if args.replication_listen is not None and args.listen is None:
         print("error: --replication-listen requires --listen", file=sys.stderr)
@@ -459,9 +470,7 @@ def _cmd_serve_reports(args) -> int:
         shards=args.shards,
         queue_capacity=args.queue_capacity,
         max_report_age=args.max_age,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
         data_dir=args.data_dir,
         snapshot_every=args.snapshot_every,
     )
@@ -476,26 +485,21 @@ def _cmd_serve_reports(args) -> int:
         def _request_shutdown(signum, frame):
             raise _ShutdownRequested()
 
-        previous = [
-            signal.signal(signum, _request_shutdown)
-            for signum in (signal.SIGINT, signal.SIGTERM)
-        ]
         handle = sys.stdin if args.reports == "-" else open(args.reports, "r")
         try:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                server.submit(line)
-                if server.queue_depth() >= args.process_every:
-                    server.process()
+            with _stop_signals(_request_shutdown):
+                for line in handle:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    server.submit(line)
+                    if server.queue_depth() >= args.process_every:
+                        server.process()
         except _ShutdownRequested:
             emit("interrupted: draining queues, compacting the WAL...")
         finally:
             if handle is not sys.stdin:
                 handle.close()
-            for signum, old in zip((signal.SIGINT, signal.SIGTERM), previous):
-                signal.signal(signum, old)
 
     server.process()
     verdict, offender = server.verdict(args.app)
@@ -521,8 +525,7 @@ def _cmd_serve_reports(args) -> int:
     }
     emit("ingested: " + (", ".join(
         f"{k}={v}" for k, v in tallies.items()) or "nothing"))
-    emit(f"verdict for {args.app}: {verdict.value}"
-         + (f" (key {offender})" if offender else ""))
+    _print_verdicts(emit, {args.app: (verdict, offender)})
     if conn_stats:
         print("\nconnections:")
         for stats in conn_stats:
@@ -536,7 +539,6 @@ def _serve_listen(args, server, emit):
     """Run the asyncio ingest service until SIGINT/SIGTERM; returns the
     per-connection stats (the server is drained but left open)."""
     import asyncio
-    import signal
 
     from repro.reporting.net import IngestService
 
@@ -552,21 +554,19 @@ def _serve_listen(args, server, emit):
             replication_port=replication[1] if replication else None,
             process_every=args.process_every,
         )
-        await service.start()
-        ihost, iport = service.address
-        # Parseable by scripts (CI smoke, tests) that bind port 0.
-        emit(f"listening on {ihost}:{iport}")
-        if replication is not None:
-            rhost, rport = service.replication_address
-            emit(f"replication on {rhost}:{rport}")
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-posix
-                signal.signal(signum, lambda *_: stop.set())
-        await stop.wait()
+        # call_soon_threadsafe, not a bare stop.set(): it also wakes the
+        # selector when the signal lands while the loop blocks in its poll.
+        with _stop_signals(lambda *_: loop.call_soon_threadsafe(stop.set)):
+            await service.start()
+            ihost, iport = service.address
+            # Parseable by scripts (CI smoke, tests) that bind port 0.
+            emit(f"listening on {ihost}:{iport}")
+            if replication is not None:
+                rhost, rport = service.replication_address
+                emit(f"replication on {rhost}:{rport}")
+            await stop.wait()
         emit("shutting down: draining queues, flushing followers...")
         await service.stop()
         return service
@@ -577,51 +577,39 @@ def _serve_listen(args, server, emit):
 
 def _cmd_replica(args) -> int:
     """Follow a leader's WAL stream; optionally promote on leader exit."""
-    import signal
-
-    from repro.reporting import TakedownPolicy
     from repro.reporting.net import ReplicaFollower
 
     emit = _make_emitter(args.data_dir, "replica.log")
     follower = ReplicaFollower(
         args.data_dir, args.leader, expect_shards=args.shards
     )
+    with _stop_signals(lambda *_: follower.stop(timeout=0)):
+        emit(f"following {args.leader[0]}:{args.leader[1]} "
+             f"into {args.data_dir}")
+        follower.run()  # blocks until leader EOF or a signal
+        if follower.error is not None:
+            print(f"error: replication failed: {follower.error}",
+                  file=sys.stderr)
+            return EXIT_FAILURE
+        emit(f"applied: {follower.applied} update(s) "
+             f"({follower.snapshots} snapshot(s)) from the leader")
 
-    def _request_stop(signum, frame):
-        follower.stop(timeout=0)
-
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, _request_stop)
-
-    emit(f"following {args.leader[0]}:{args.leader[1]} into {args.data_dir}")
-    follower.run()  # blocks until leader EOF or a signal
-    if follower.error is not None:
-        print(f"error: replication failed: {follower.error}", file=sys.stderr)
-        return EXIT_FAILURE
-    emit(f"applied: {follower.applied} update(s) "
-         f"({follower.snapshots} snapshot(s)) from the leader")
-
-    if not args.promote:
+        if not args.promote:
+            return 0
+        if follower.shard_count is None:
+            print("error: never reached the leader; nothing to promote",
+                  file=sys.stderr)
+            return EXIT_FAILURE
+        server = follower.promote(
+            shards=args.shards or follower.shard_count, policy=_policy(args)
+        )
+        server.process()
+        replayed = int(server.metrics.counter("wal.replayed").value)
+        emit(f"promoted: {len(list(server.apps))} app(s), "
+             f"{replayed} shipped WAL record(s) replayed")
+        _print_verdicts(emit, server.verdicts())
+        server.close()
         return 0
-    if follower.shard_count is None:
-        print("error: never reached the leader; nothing to promote",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    server = follower.promote(
-        shards=args.shards or follower.shard_count,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
-    )
-    server.process()
-    replayed = int(server.metrics.counter("wal.replayed").value)
-    emit(f"promoted: {len(list(server.apps))} app(s), "
-         f"{replayed} shipped WAL record(s) replayed")
-    for app_name, (verdict, offender) in sorted(server.verdicts().items()):
-        emit(f"verdict for {app_name}: {verdict.value}"
-             + (f" (key {offender})" if offender else ""))
-    server.close()
-    return 0
 
 
 def _cmd_supervise(args) -> int:
@@ -637,10 +625,8 @@ def _cmd_supervise(args) -> int:
     SIGINT/SIGTERM stop supervision gracefully: a promoted server
     drains, prints its verdicts and compacts its WAL before exit.
     """
-    import signal
     import threading
 
-    from repro.reporting import TakedownPolicy
     from repro.reporting.net import ClusterSupervisor, ReplicaFollower
 
     emit = _make_emitter(args.data_dir, "supervise.log")
@@ -661,10 +647,7 @@ def _cmd_supervise(args) -> int:
         args.leader,
         [follower],
         server_kwargs=dict(
-            policy=TakedownPolicy(
-                distinct_devices=args.threshold, window_seconds=args.window
-            ),
-            snapshot_every=args.snapshot_every,
+            policy=_policy(args), snapshot_every=args.snapshot_every
         ),
         miss_threshold=args.miss_threshold,
         interval=args.interval,
@@ -673,57 +656,50 @@ def _cmd_supervise(args) -> int:
         promote_port=promote_port,
     )
     stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    supervisor.start()
-    emit(f"supervising {args.leader[0]}:{args.leader[1]} "
-         f"(miss threshold {args.miss_threshold}, interval {args.interval}s)")
+    with _stop_signals(lambda *_: stop.set()):
+        supervisor.start()
+        emit(f"supervising {args.leader[0]}:{args.leader[1]} "
+             f"(miss threshold {args.miss_threshold}, "
+             f"interval {args.interval}s)")
 
-    announced = False
-    while not stop.is_set():
-        if supervisor.failovers and not announced:
-            event = supervisor.event
-            phost, pport = event.endpoint
-            emit(f"promoted: epoch {event.epoch} on {phost}:{pport} "
-                 f"(detected {event.detection_seconds:.2f}s, "
-                 f"promoted {event.promotion_seconds:.2f}s, "
-                 f"{event.follower_applied} applied)")
-            announced = True
-        if supervisor.error is not None:
-            print(f"error: supervisor failed: {supervisor.error}",
-                  file=sys.stderr)
-            supervisor.stop()
+        announced = False
+        while not stop.is_set():
+            if supervisor.failovers and not announced:
+                event = supervisor.event
+                phost, pport = event.endpoint
+                emit(f"promoted: epoch {event.epoch} on {phost}:{pport} "
+                     f"(detected {event.detection_seconds:.2f}s, "
+                     f"promoted {event.promotion_seconds:.2f}s, "
+                     f"{event.follower_applied} applied)")
+                announced = True
+            if supervisor.error is not None:
+                print(f"error: supervisor failed: {supervisor.error}",
+                      file=sys.stderr)
+                supervisor.stop()
+                follower.stop()
+                return EXIT_FAILURE
+            stop.wait(0.1)
+
+        supervisor.stop()
+        if supervisor.promoted_handle is not None:
+            _print_verdicts(emit, supervisor.promoted_handle.call(
+                lambda s: (s.process(), s.verdicts())[1]
+            ))
+            supervisor.promoted_handle.stop()
+            supervisor.promoted_server.close()
+        else:
             follower.stop()
-            return EXIT_FAILURE
-        stop.wait(0.1)
-
-    supervisor.stop()
-    if supervisor.promoted_handle is not None:
-        verdicts = supervisor.promoted_handle.call(
-            lambda s: (s.process(), s.verdicts())[1]
-        )
-        for app_name, (verdict, offender) in sorted(verdicts.items()):
-            emit(f"verdict for {app_name}: {verdict.value}"
-                 + (f" (key {offender})" if offender else ""))
-        supervisor.promoted_handle.stop()
-        supervisor.promoted_server.close()
-    else:
-        follower.stop()
-        emit(f"applied: {follower.applied} update(s) from the leader; "
-             "no failover needed")
-    return 0
+            emit(f"applied: {follower.applied} update(s) from the leader; "
+                 "no failover needed")
+        return 0
 
 
 def _cmd_recover(args) -> int:
     """Rebuild a ReportServer from its WAL + snapshot and show verdicts."""
-    from repro.reporting import ReportServer, TakedownPolicy
+    from repro.reporting import ReportServer
 
     server = ReportServer.recover(
-        args.data_dir,
-        shards=args.shards,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        args.data_dir, shards=args.shards, policy=_policy(args)
     )
     server.process()
     replayed = int(server.metrics.counter("wal.replayed").value)
@@ -732,9 +708,7 @@ def _cmd_recover(args) -> int:
     print(f"recovered from {args.data_dir}: "
           f"{len(list(server.apps))} app(s), {replayed} WAL records replayed, "
           f"{snapshots} snapshot(s) restored, {torn} torn record(s) discarded")
-    for app_name, (verdict, offender) in sorted(server.verdicts().items()):
-        print(f"verdict for {app_name}: {verdict.value}"
-              + (f" (key {offender})" if offender else ""))
+    _print_verdicts(print, server.verdicts())
     server.close()
     print("\nmetrics:")
     print(server.metrics.render())
@@ -748,7 +722,6 @@ def _cmd_fleet(args) -> int:
         FleetConfig,
         OutcomeModel,
         ReportServer,
-        TakedownPolicy,
         run_fleet,
     )
     from repro.userside import Market
@@ -787,9 +760,7 @@ def _cmd_fleet(args) -> int:
         transport_failure_rate=args.transport_failure_rate,
         transport=args.transport,
         real_sessions=args.real_sessions,
-        policy=TakedownPolicy(
-            distinct_devices=args.threshold, window_seconds=args.window
-        ),
+        policy=_policy(args),
     )
     server = ReportServer(shards=config.shards, policy=config.policy)
     market = Market(seed=args.seed)
@@ -811,48 +782,30 @@ def _cmd_fleet(args) -> int:
     return 1 if failed else 0
 
 
+#: ``repro chaos`` matrix -> (config class, runner, flags copied into
+#: the config); the names resolve lazily in :mod:`repro.chaos`.
+_CHAOS_MATRICES = {
+    "vm": ("ChaosConfig", "run_chaos",
+           ("seed", "trials", "scale", "events", "devices", "strict", "mesh")),
+    "crash-restart": ("CrashRestartConfig", "run_crash_restart",
+                      ("seed", "reports", "data_dir")),
+    "failover": ("FailoverChaosConfig", "run_failover_chaos",
+                 ("seed", "reports", "data_dir")),
+}
+
+
 def _cmd_chaos(args) -> int:
     """Run the seeded fault matrix and check containment invariants."""
     import json
 
-    if args.crash_restart and args.failover:
-        print("error: --crash-restart and --failover are mutually exclusive",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.crash_restart:
-        from repro.chaos import CrashRestartConfig, run_crash_restart
+    from repro import chaos
 
-        config = CrashRestartConfig(
-            seed=args.seed,
-            reports=args.reports,
-            data_dir=args.data_dir,
-        )
-        report = run_crash_restart(config)
-        runner = run_crash_restart
-    elif args.failover:
-        from repro.chaos import FailoverChaosConfig, run_failover_chaos
-
-        config = FailoverChaosConfig(
-            seed=args.seed,
-            reports=args.reports,
-            data_dir=args.data_dir,
-        )
-        report = run_failover_chaos(config)
-        runner = run_failover_chaos
-    else:
-        from repro.chaos import ChaosConfig, run_chaos
-
-        config = ChaosConfig(
-            seed=args.seed,
-            trials=args.trials,
-            scale=args.scale,
-            events=args.events,
-            devices=args.devices,
-            strict=args.strict,
-            mesh=args.mesh,
-        )
-        report = run_chaos(config)
-        runner = run_chaos
+    config_name, runner_name, flags = _CHAOS_MATRICES[args.matrix]
+    config = getattr(chaos, config_name)(
+        **{flag: getattr(args, flag) for flag in flags}
+    )
+    runner = getattr(chaos, runner_name)
+    report = runner(config)
     replay_ok = True
     if args.verify_replay:
         replay_ok = runner(config).digest() == report.digest()
@@ -876,6 +829,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="BombDroid reproduction toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The takedown rule, shared by every subcommand that decides one.
+    policy = argparse.ArgumentParser(add_help=False)
+    policy.add_argument("--threshold", type=int, default=3,
+                        help="distinct devices required for a takedown")
+    policy.add_argument("--window", type=float, default=3600.0,
+                        help="sliding takedown window (seconds)")
 
     build = sub.add_parser("build", help="generate a synthetic app APK")
     build.add_argument("--name", required=True,
@@ -985,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack.set_defaults(func=_cmd_attack)
 
     serve = sub.add_parser(
-        "serve-reports",
+        "serve-reports", parents=[policy],
         help="ingest signed detection reports (JSON lines) and decide takedowns",
     )
     serve.add_argument("--app", required=True, help="registered app name")
@@ -993,21 +952,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="the genuine signing key fingerprint")
     serve.add_argument("--in", default=None,
                        help="original APK to read the genuine key from")
-    serve.add_argument("--reports", default=None,
-                       help="JSON-lines report file, or - for stdin")
-    serve.add_argument("--listen", type=_parse_hostport, default=None,
-                       metavar="HOST:PORT",
-                       help="serve DRPT frames over TCP instead of reading "
-                            "--reports (port 0 binds an ephemeral port)")
+    source = serve.add_mutually_exclusive_group(required=True)
+    source.add_argument("--reports", default=None,
+                        help="JSON-lines report file, or - for stdin")
+    source.add_argument("--listen", type=_parse_hostport, default=None,
+                        metavar="HOST:PORT",
+                        help="serve DRPT frames over TCP instead of reading "
+                             "--reports (port 0 binds an ephemeral port)")
     serve.add_argument("--replication-listen", type=_parse_hostport,
                        default=None, metavar="HOST:PORT",
                        help="also stream the WAL to replica followers here "
                             "(requires --listen and --data-dir)")
     serve.add_argument("--shards", type=int, default=8)
-    serve.add_argument("--threshold", type=int, default=3,
-                       help="distinct devices required for a takedown")
-    serve.add_argument("--window", type=float, default=3600.0,
-                       help="sliding takedown window (seconds)")
     serve.add_argument("--max-age", type=float, default=900.0,
                        help="replay freshness window (seconds)")
     serve.add_argument("--queue-capacity", type=int, default=4096)
@@ -1021,7 +977,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve_reports)
 
     replica = sub.add_parser(
-        "replica",
+        "replica", parents=[policy],
         help="follow a serve-reports leader's WAL stream (warm standby)",
     )
     replica.add_argument("--data-dir", required=True,
@@ -1032,8 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     replica.add_argument("--shards", type=int, default=None,
                          help="expected leader shard count (default: accept "
                               "whatever the leader announces)")
-    replica.add_argument("--threshold", type=int, default=3)
-    replica.add_argument("--window", type=float, default=3600.0)
     replica.add_argument("--promote", action="store_true",
                          help="when the leader goes away, recover a live "
                               "server from the followed directory and print "
@@ -1041,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     replica.set_defaults(func=_cmd_replica)
 
     supervise = sub.add_parser(
-        "supervise",
+        "supervise", parents=[policy],
         help="warm standby + supervisor: follow the leader's WAL, probe "
              "its health, promote automatically when it dies",
     )
@@ -1058,8 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     supervise.add_argument("--shards", type=int, default=None,
                            help="expected leader shard count (default: "
                                 "accept whatever the leader announces)")
-    supervise.add_argument("--threshold", type=int, default=3)
-    supervise.add_argument("--window", type=float, default=3600.0)
     supervise.add_argument("--snapshot-every", type=int, default=1024)
     supervise.add_argument("--miss-threshold", type=int, default=3,
                            help="consecutive failed probes before the "
@@ -1074,7 +1026,7 @@ def build_parser() -> argparse.ArgumentParser:
     supervise.set_defaults(func=_cmd_supervise)
 
     recover = sub.add_parser(
-        "recover",
+        "recover", parents=[policy],
         help="rebuild a crashed report server from its WAL + snapshot",
     )
     recover.add_argument("--data-dir", required=True,
@@ -1082,12 +1034,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "serve-reports --data-dir run journaled to")
     recover.add_argument("--shards", type=int, default=8,
                          help="must match the crashed server's shard count")
-    recover.add_argument("--threshold", type=int, default=3)
-    recover.add_argument("--window", type=float, default=3600.0)
     recover.set_defaults(func=_cmd_recover)
 
     fleet = sub.add_parser(
-        "fleet",
+        "fleet", parents=[policy],
         help="stream a million-device fleet through the report pipeline",
     )
     fleet.add_argument("--in", required=True, help="the (pirated) APK users run")
@@ -1107,8 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="UI events per calibration session")
     fleet.add_argument("--target-reports", type=int, default=25_000,
                        help="sample the reporting subpopulation to this size")
-    fleet.add_argument("--threshold", type=int, default=3)
-    fleet.add_argument("--window", type=float, default=3600.0)
     fleet.add_argument("--duplicate-rate", type=float, default=0.01)
     fleet.add_argument("--forge-rate", type=float, default=0.0)
     fleet.add_argument("--transport-failure-rate", type=float, default=0.0)
@@ -1139,13 +1087,17 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--mesh", action="store_true",
                        help="protect with the bomb mesh armed (cross-"
                             "referenced payloads, morphed prologues)")
-    chaos.add_argument("--crash-restart", action="store_true",
-                       help="run the kill-and-recover matrix against the "
-                            "durable report server instead of the VM matrix")
-    chaos.add_argument("--failover", action="store_true",
-                       help="run the kill-the-leader matrix against the "
-                            "replicated cluster: heartbeat-supervised "
-                            "promotion, epoch fencing, client re-routing")
+    matrix = chaos.add_mutually_exclusive_group()
+    matrix.add_argument("--crash-restart", dest="matrix",
+                        action="store_const", const="crash-restart",
+                        default="vm",
+                        help="run the kill-and-recover matrix against the "
+                             "durable report server instead of the VM matrix")
+    matrix.add_argument("--failover", dest="matrix",
+                        action="store_const", const="failover",
+                        help="run the kill-the-leader matrix against the "
+                             "replicated cluster: heartbeat-supervised "
+                             "promotion, epoch fencing, client re-routing")
     chaos.add_argument("--reports", type=int, default=48,
                        help="stream length per crash-restart/failover trial")
     chaos.add_argument("--data-dir", default=None,

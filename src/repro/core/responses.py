@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.core.config import ResponseKind
 from repro.dex.builder import MethodBuilder
@@ -224,8 +224,3 @@ def emit_response(
     raise InstrumentationError(f"unhandled response kind {kind!r}")
 
 
-def choose_null_target(app_static_fields: Sequence[str], rng: random.Random) -> Optional[str]:
-    """Pick an app static field for the NULL_STATIC response."""
-    if not app_static_fields:
-        return None
-    return rng.choice(sorted(app_static_fields))

@@ -94,12 +94,6 @@ class MethodBuilder:
     def rem(self, dst: int, a: int, b: int) -> "MethodBuilder":
         return self.emit(ins.binop(Op.REM, dst, a, b))
 
-    def and_(self, dst: int, a: int, b: int) -> "MethodBuilder":
-        return self.emit(ins.binop(Op.AND, dst, a, b))
-
-    def or_(self, dst: int, a: int, b: int) -> "MethodBuilder":
-        return self.emit(ins.binop(Op.OR, dst, a, b))
-
     def xor(self, dst: int, a: int, b: int) -> "MethodBuilder":
         return self.emit(ins.binop(Op.XOR, dst, a, b))
 

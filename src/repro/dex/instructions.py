@@ -49,14 +49,6 @@ class Instr:
             if not isinstance(self.target, str):
                 raise DexError(f"{self.op.value}: branch needs a label target")
 
-    @property
-    def is_branch(self) -> bool:
-        return self.op in CONDITIONAL_BRANCHES
-
-    @property
-    def is_label(self) -> bool:
-        return self.op is Op.LABEL
-
     def reads(self) -> Tuple[int, ...]:
         """Registers this instruction reads (for def-use analysis)."""
         regs = []

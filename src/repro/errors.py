@@ -80,10 +80,6 @@ class MethodNotFound(VMError):
     """Invocation target does not exist in the loaded class set."""
 
 
-class FieldNotFound(VMError):
-    """Field access target does not exist."""
-
-
 class BudgetExhausted(VMError):
     """The interpreter hit its instruction budget (likely endless loop).
 

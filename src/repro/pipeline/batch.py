@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.apk.io import apk_from_bytes, apk_to_bytes, load_apk
-from repro.apk.package import ENTRY_DEX, Apk
+from repro.apk.package import Apk
 from repro.core import BombDroid, BombDroidConfig, ProtectionResult
 from repro.core.stats import InstrumentationReport
 from repro.crypto import RSAKeyPair, sha1_hex
@@ -65,10 +65,6 @@ class BatchJob:
     @classmethod
     def from_apk(cls, name: str, apk: Apk, developer_key: RSAKeyPair) -> "BatchJob":
         return cls(name=name, apk_bytes=apk_to_bytes(apk), developer_key=developer_key)
-
-    def dex_digest(self) -> str:
-        """SHA-1 of the app's classes.dex."""
-        return sha1_hex(apk_from_bytes(self.apk_bytes, self.name).entry(ENTRY_DEX))
 
     def content_digest(self) -> str:
         """SHA-1 over the whole framed container -- the cache-key

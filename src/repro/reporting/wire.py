@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import re
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
@@ -63,9 +63,6 @@ class DetectionReport:
     timestamp: float = 0.0
     nonce: int = 0
     version: int = WIRE_VERSION
-
-    def with_nonce(self, nonce: int) -> "DetectionReport":
-        return replace(self, nonce=nonce)
 
 
 def _pack_str(value: str) -> bytes:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import VMCrash
 
@@ -282,13 +282,3 @@ def attacker_lab_profiles(count: int = 4, seed: int = 7) -> List[DeviceProfile]:
     return profiles
 
 
-def iter_env_names() -> Iterator[str]:
-    """Environment variable names in stable order."""
-    return iter(sorted(ENV_DOMAINS))
-
-
-def domain_of(name: str):
-    try:
-        return ENV_DOMAINS[name]
-    except KeyError:
-        raise KeyError(f"unknown environment variable {name!r}") from None

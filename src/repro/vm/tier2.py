@@ -58,6 +58,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from typing import Dict, List
 
+from repro.crypto import sha1_hex
 from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
 from repro.errors import BudgetExhausted, VMCrash
 from repro.vm.dispatch import (
@@ -126,7 +127,10 @@ def _blocks(instrs, labels) -> List[List[int]]:
 
 @lru_cache(maxsize=1024)
 def _code_for(source: str):
-    return compile(source, "<tier2>", "exec")
+    # A per-source filename keeps each generated function apart in a
+    # profile; identical sources still share one code object.
+    digest = sha1_hex(source.encode("utf-8"))[:10]
+    return compile(source, f"<tier2 {digest}>", "exec")
 
 
 def _short_runner(blocks, steps: Dict[int, object], exhausted: str):

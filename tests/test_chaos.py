@@ -200,6 +200,8 @@ class TestChaosHarness:
     def test_replay_digest_identical(self, reports):
         first, second = reports
         assert first.digest() == second.digest()
+        # Pinned: the matrix replays bit for bit across commits too.
+        assert first.digest() == "ddcebdef046d8a3278068253302cd8655ed9ca2b"
 
     def test_report_serializes(self, reports):
         report, _ = reports
@@ -219,6 +221,7 @@ class TestChaosHarness:
         report = run_chaos(config)
         assert report.ok, "\n".join(report.violations)
         assert report.baseline_transparent
+        assert report.digest() == "52321da52ecd6ffc5a57903c7de39e90092027f3"
 
 
 class TestChaosCli:

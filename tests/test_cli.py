@@ -1,8 +1,15 @@
 """The command-line interface, end to end through temp files."""
 
+import os
+import signal
+import socket
+import threading
+import time
+
 import pytest
 
-from repro.cli import load_apk, main, save_apk
+from repro.apk.io import load_apk, save_apk_with_manifest
+from repro.cli import main
 
 
 @pytest.fixture()
@@ -92,7 +99,6 @@ def test_lint_subcommand(workdir, capsys):
 
 def test_lint_subcommand_flags_violations(workdir, capsys):
     from repro.apk import Resources, build_apk
-    from repro.cli import _save_with_manifest
     from repro.crypto import RSAKeyPair
     from repro.dex import assemble
 
@@ -103,7 +109,7 @@ def test_lint_subcommand_flags_violations(workdir, capsys):
     apk = build_apk(dex, Resources(strings={"app_name": "A"}),
                     RSAKeyPair.generate(seed=77))
     path = str(workdir / "leaky.rapk")
-    _save_with_manifest(apk, path)
+    save_apk_with_manifest(apk, path)
 
     assert main(["lint", "--in", path]) == 1
     out = capsys.readouterr().out
@@ -126,9 +132,7 @@ def test_lint_list_rules(capsys):
 
 def test_apk_file_roundtrip(workdir, small_apk):
     path = str(workdir / "x.rapk")
-    from repro.cli import _save_with_manifest
-
-    _save_with_manifest(small_apk, path)
+    save_apk_with_manifest(small_apk, path)
     restored = load_apk(path)
     restored.verify()
     assert restored.entries["classes.dex"] == small_apk.entries["classes.dex"]
@@ -185,19 +189,18 @@ def test_recover_missing_dir_fails(workdir, capsys):
 
 def _naive_apk_file(workdir):
     """A naive-protected corpus app saved to disk, plus its clean twin."""
-    from repro.cli import _save_with_manifest
     from repro.core.naive import NaiveProtector
     from repro.corpus import build_app
     from repro.crypto import RSAKeyPair
 
     bundle = build_app("CliDetect", seed=3, scale=0.2)
     clean = str(workdir / "clean.rapk")
-    _save_with_manifest(bundle.apk, clean)
+    save_apk_with_manifest(bundle.apk, clean)
     naive, _ = NaiveProtector(seed=1).protect(
         bundle.apk, RSAKeyPair.generate(seed=77)
     )
     naive_path = str(workdir / "naive.rapk")
-    _save_with_manifest(naive, naive_path)
+    save_apk_with_manifest(naive, naive_path)
     return clean, naive_path
 
 
@@ -264,7 +267,6 @@ def test_lint_format_sarif(workdir, capsys):
     import json
 
     from repro.apk import Resources, build_apk
-    from repro.cli import _save_with_manifest
     from repro.crypto import RSAKeyPair
     from repro.dex import assemble
 
@@ -275,7 +277,7 @@ def test_lint_format_sarif(workdir, capsys):
     apk = build_apk(dex, Resources(strings={"app_name": "A"}),
                     RSAKeyPair.generate(seed=77))
     path = str(workdir / "leaky.rapk")
-    _save_with_manifest(apk, path)
+    save_apk_with_manifest(apk, path)
 
     assert main(["lint", "--in", path, "--format", "sarif"]) == 1
     sarif = json.loads(capsys.readouterr().out)
@@ -304,3 +306,91 @@ def test_attack_subcommand_static(workdir, capsys):
     assert main(["attack", "--in", clean, "--attack", "static"]) == 0
     out = capsys.readouterr().out
     assert "resisted" in out
+
+
+def _exit_status(argv):
+    """``main``'s return value, or the code of the ``SystemExit`` an
+    argparse usage error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+SERVE = ["serve-reports", "--app", "Game", "--key-hex", "aa" * 20]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(SERVE, id="serve-without-source"),
+    pytest.param(SERVE + ["--reports", "r.jsonl", "--listen", "127.0.0.1:0"],
+                 id="serve-with-both-sources"),
+    pytest.param(SERVE + ["--reports", "r.jsonl", "--data-dir", "d",
+                          "--replication-listen", "127.0.0.1:0"],
+                 id="replication-without-listen"),
+    pytest.param(SERVE + ["--listen", "127.0.0.1:0",
+                          "--replication-listen", "127.0.0.1:0"],
+                 id="replication-without-data-dir"),
+    pytest.param(["chaos", "--crash-restart", "--failover"],
+                 id="chaos-two-matrices"),
+])
+def test_usage_errors_exit_2(argv, capsys):
+    assert _exit_status(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def test_replica_restores_signal_handlers(workdir):
+    """A replica whose leader hangs up at once returns, and leaves the
+    process's SIGINT/SIGTERM handlers as it found them."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def hang_up():
+        conn, _ = listener.accept()
+        conn.close()
+
+    threading.Thread(target=hang_up, daemon=True).start()
+    before = [signal.getsignal(signum) for signum in STOP_SIGNALS]
+    try:
+        code = main(["replica", "--data-dir", str(workdir / "replica"),
+                     "--leader", f"127.0.0.1:{port}"])
+    finally:
+        listener.close()
+    assert code == 0
+    assert [signal.getsignal(signum) for signum in STOP_SIGNALS] == before
+
+
+def test_supervise_restores_signal_handlers(workdir):
+    """SIGTERM ends supervision of a healthy leader, and the previous
+    handlers come back."""
+    from repro.reporting import ReportServer
+    from repro.reporting.net import ServiceHandle
+
+    leader = ReportServer(shards=2, data_dir=str(workdir / "leader"))
+    handle = ServiceHandle.start(leader, replication_port=0)
+    before = [signal.getsignal(signum) for signum in STOP_SIGNALS]
+
+    def terminate_once_installed():
+        # Signal only once the CLI's own handler is in place.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline:
+            if signal.getsignal(signal.SIGTERM) != before[1]:
+                os.kill(os.getpid(), signal.SIGTERM)
+                return
+            time.sleep(0.02)
+
+    threading.Thread(target=terminate_once_installed, daemon=True).start()
+    try:
+        host, port = handle.address
+        rhost, rport = handle.replication_address
+        code = main(["supervise", "--data-dir", str(workdir / "standby"),
+                     "--leader", f"{host}:{port}",
+                     "--replicate-from", f"{rhost}:{rport}",
+                     "--interval", "0.05"])
+    finally:
+        handle.stop()
+        leader.close()
+    assert code == 0
+    assert [signal.getsignal(signum) for signum in STOP_SIGNALS] == before

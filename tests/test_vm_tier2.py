@@ -367,3 +367,27 @@ LOOP_SHAPES = {
 def test_tier2_loop_shapes_match_reference(shape, arg):
     main = assemble_method(LOOP_SHAPES[shape], class_name="G", name="main", params=1)
     _agrees_at_every_budget((main.instructions, main.registers, 1, False), [arg])
+
+
+def test_tier2_code_is_named_by_its_source():
+    """Each generated source compiles under its own ``<tier2 ...>``
+    filename, so a profile tells the methods apart; methods with the
+    same generated source share one code object."""
+    dex = assemble(HELPERS + """
+.class H
+.method inc 1
+    add_lit r1, r0, 1
+    return r1
+.end
+""")
+    runtime = Runtime(dex, seed=0)
+    with _tier2_from_first_call():
+        for name in ("G.inc", "G.count", "H.inc"):
+            runtime.session().run(runtime.find_method(name), [3])
+    code = {
+        name: runtime.find_method(name)._compiled.tier2.__code__
+        for name in ("G.inc", "G.count", "H.inc")
+    }
+    assert code["G.inc"].co_filename.startswith("<tier2 ")
+    assert code["G.inc"].co_filename != code["G.count"].co_filename
+    assert code["G.inc"] is code["H.inc"]
