@@ -144,11 +144,11 @@ def test_wal_ingest_overhead_under_2x(tmp_path):
 def test_torn_final_record_recovers(tmp_path):
     """Acceptance gate: a torn final WAL record is detected exactly once
     and every acked report survives recovery."""
-    import os
     import struct
 
     from repro.crypto import RSAKeyPair
     from repro.reporting import DetectionReport, ReportServer, sign_report
+    from repro.reporting.durability import wal_path
 
     data_dir = str(tmp_path / "state")
     attest = RSAKeyPair.generate(seed=9)
@@ -169,7 +169,7 @@ def test_torn_final_record_recovers(tmp_path):
     server.process()
     expected = server.verdicts()
     server.crash()
-    with open(os.path.join(data_dir, "wal-000.log"), "ab") as handle:
+    with open(wal_path(data_dir, 0), "ab") as handle:
         handle.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
 
     recovered = ReportServer.recover(data_dir, shards=8)

@@ -20,7 +20,7 @@ from repro.analysis.dominators import (
     postdominators,
 )
 from repro.analysis.loops import natural_loops, instructions_in_loops
-from repro.analysis.defs import constant_in_block, definition_sites
+from repro.analysis.defs import constant_in_block
 from repro.analysis.qualified_conditions import (
     QualifiedCondition,
     Strength,
@@ -57,7 +57,6 @@ __all__ = [
     "natural_loops",
     "instructions_in_loops",
     "constant_in_block",
-    "definition_sites",
     "QualifiedCondition",
     "Strength",
     "find_qualified_conditions",

@@ -1,4 +1,4 @@
-"""Local def-use helpers: constant tracking and definition sites.
+"""Local def-use helpers: constant tracking and use sites.
 
 The qualified-condition finder needs to know whether a branch operand
 holds a *statically determinable constant* at the branch.  We resolve
@@ -40,15 +40,6 @@ def constant_in_block(method: DexMethod, pc: int, reg: int) -> Optional[Tuple[in
             return None
         cursor -= 1
     return None
-
-
-def definition_sites(method: DexMethod, reg: int) -> List[int]:
-    """All pcs whose instruction writes ``reg`` (parameters not counted)."""
-    return [
-        pc
-        for pc, instr in enumerate(method.instructions)
-        if reg in instr.writes()
-    ]
 
 
 def use_sites(method: DexMethod, reg: int) -> List[int]:

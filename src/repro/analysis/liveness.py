@@ -15,11 +15,10 @@ dead at RETURN_VOID, only the returned register is live at RETURN.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.analysis.cfg import build_cfg
 from repro.dex.model import DexMethod
-from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op, UNCONDITIONAL_EXITS
+from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
 
 
 def instruction_successors(method: DexMethod) -> List[Tuple[int, ...]]:

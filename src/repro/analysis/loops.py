@@ -8,7 +8,7 @@ returns the set of pcs the instrumenter must avoid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.cfg import ControlFlowGraph, build_cfg
 from repro.analysis.dominators import dominators

@@ -9,10 +9,9 @@ behind the ~2.6% overhead result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Set
 
-from repro.dex.model import DexFile
 from repro.errors import VMError
 from repro.vm.interpreter import CountingTracer
 

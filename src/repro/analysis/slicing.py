@@ -14,7 +14,7 @@ decrypt) is local to the instrumented method.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import List, Set, Tuple
 
 from repro.analysis.cfg import build_cfg
 from repro.dex.model import DexMethod

@@ -61,7 +61,6 @@ from repro.dex.opcodes import (
     CONDITIONAL_BRANCHES,
     LIT_BINOPS,
     Op,
-    UNCONDITIONAL_EXITS,
 )
 from repro.errors import AnalysisError
 

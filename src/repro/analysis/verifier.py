@@ -57,7 +57,6 @@ from repro.dex.opcodes import (
     CONDITIONAL_BRANCHES,
     LIT_BINOPS,
     Op,
-    UNCONDITIONAL_EXITS,
 )
 from repro.lint.diagnostics import Diagnostic, Severity
 

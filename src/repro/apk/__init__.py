@@ -20,7 +20,6 @@ from repro.apk.io import (
     apk_from_bytes,
     apk_to_bytes,
     load_apk,
-    save_apk,
     save_apk_with_manifest,
 )
 from repro.apk.stego import embed_in_cover, extract_from_cover, stego_capacity
@@ -36,7 +35,6 @@ __all__ = [
     "apk_from_bytes",
     "apk_to_bytes",
     "load_apk",
-    "save_apk",
     "save_apk_with_manifest",
     "embed_in_cover",
     "extract_from_cover",

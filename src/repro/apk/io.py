@@ -86,12 +86,6 @@ def apk_from_bytes(data: bytes, source: str = "<bytes>") -> Apk:
     return Apk(entries=entries, manifest=manifest, cert=cert)
 
 
-def save_apk(apk: Apk, path: str) -> None:
-    """Write an APK container to disk (entries as given)."""
-    with open(path, "wb") as handle:
-        handle.write(frame_entries(apk))
-
-
 def save_apk_with_manifest(apk: Apk, path: str) -> None:
     """Write an APK container including its manifest entry."""
     with open(path, "wb") as handle:

@@ -14,7 +14,7 @@ loaded ``Bomb$...`` classes whose static code is ciphertext.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Set
+from typing import Set
 
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult

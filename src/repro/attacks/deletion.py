@@ -41,21 +41,10 @@ from repro.attacks.signatures import (
     strip_with_signature,
 )
 from repro.crypto import RSAKeyPair
-from repro.dex.model import DexFile
 from repro.errors import VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.vm.device import DevicePopulation
 from repro.vm.runtime import Runtime
-
-
-def strip_bombs(
-    dex: DexFile, signature: PrologueSignature = CLASSIC_SIGNATURE
-) -> int:
-    """Disable every bomb prologue the signature matches, in place;
-    returns sites patched.  The historical hard-coded behavior (literal
-    ``bomb.hash`` anchor, first ``if_eqz`` within five instructions) is
-    the default :data:`~repro.attacks.signatures.CLASSIC_SIGNATURE`."""
-    return strip_with_signature(dex, signature)
 
 
 def differential_test(
@@ -126,7 +115,7 @@ class DeletionAttack:
         original: Optional[Apk] = None,
     ) -> AttackResult:
         dex = protected.dex()
-        patched = strip_bombs(dex, self._signature)
+        patched = strip_with_signature(dex, self._signature)
         dex.validate()
         # Bombs the signature missed (mesh survivors) are still armed:
         # their prologue branches remain conditional in front of the

@@ -15,9 +15,8 @@ crash, not a payload (G2).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult
@@ -26,7 +25,7 @@ from repro.dex.model import DexMethod
 from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
 from repro.errors import VMError
 from repro.vm.device import attacker_lab_profiles
-from repro.vm.events import ARITY, EventKind, declared_events, handler_name_for, random_args
+from repro.vm.events import EventKind, declared_events, handler_name_for, random_args
 from repro.vm.runtime import Runtime
 
 import random

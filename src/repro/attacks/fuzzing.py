@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Type
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult
 from repro.fuzzing.generators import EventGenerator, GENERATORS
-from repro.fuzzing.session import FuzzSession, SessionResult
+from repro.fuzzing.session import FuzzSession
 from repro.vm.device import DeviceProfile, attacker_lab_profiles
 
 

@@ -78,7 +78,8 @@ class PrologueSignature:
     max_branches: int = 1
 
 
-#: The published Listing-3 strip (exact historical strip_bombs behavior).
+#: The published Listing-3 strip: the literal ``bomb.hash`` anchor and the
+#: first ``if_eqz`` after it.
 CLASSIC_SIGNATURE = PrologueSignature(name="listing3-classic")
 
 #: Wider single-pattern strip: catches split/decoy prologue morphs but

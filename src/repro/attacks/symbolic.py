@@ -15,24 +15,22 @@ plaintext key comparison leaks the key constant to the attacker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult
 from repro.attacks.solver import (
-    BinExpr,
     Const,
     Constraint,
     EqExpr,
     HashExpr,
-    NotExpr,
     Solver,
     Sym,
     SymExpr,
     Unsat,
     make_binop,
 )
-from repro.dex.model import DexFile, DexMethod
+from repro.dex.model import DexMethod
 from repro.dex.opcodes import Op
 from repro.errors import UnsolvableConstraint
 from repro.vm.events import declared_events, handler_name_for

@@ -12,7 +12,7 @@ see :mod:`repro.attacks.deletion`).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.apk.package import Apk
 from repro.attacks.base import AttackResult

@@ -27,7 +27,6 @@ so :meth:`CrashRestartReport.digest` replays bit for bit.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -41,6 +40,7 @@ from repro.chaos.matrix import (
     ScenarioMatrix,
     send,
 )
+from repro.reporting.durability import wal_path
 from repro.reporting.server import ReportServer, SubmitStatus
 from repro.reporting.wire import SignedReport
 
@@ -210,7 +210,7 @@ class CrashRestartRunner(ScenarioMatrix):
         server.crash()
         # The dying process got partway through an (unacked) append: a
         # plausible length, a bogus crc, a fraction of the payload.
-        with open(os.path.join(data_dir, "wal-000.log"), "ab") as fh:
+        with open(wal_path(data_dir, 0), "ab") as fh:
             fh.write(struct.pack(">II", 64, 0xDEADBEEF) + b"\x00" * 10)
 
         recovered = ReportServer.recover(

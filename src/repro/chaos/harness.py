@@ -46,7 +46,6 @@ from repro.reporting.client import ReportClient
 from repro.reporting.server import ReportServer, SubmitStatus
 from repro.vm.containment import ContainmentPolicy
 from repro.vm.device import DevicePopulation
-from repro.vm.events import Event
 from repro.vm.runtime import Runtime
 
 SCENARIOS = ("genuine", "pirated", "hostile")

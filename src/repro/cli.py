@@ -759,7 +759,6 @@ def _cmd_fleet(args) -> int:
         forge_rate=args.forge_rate,
         transport_failure_rate=args.transport_failure_rate,
         transport=args.transport,
-        real_sessions=args.real_sessions,
         policy=_policy(args),
     )
     server = ReportServer(shards=config.shards, policy=config.policy)

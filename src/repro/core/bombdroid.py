@@ -38,7 +38,7 @@ from repro.core.config import BombDroidConfig, DetectionMethod
 from repro.core.inner_triggers import build_inner_condition
 from repro.core.instrumenter import Instrumenter
 from repro.core.result import ProtectionResult
-from repro.core.stats import Bomb, BombOrigin, InstrumentationReport
+from repro.core.stats import Bomb, InstrumentationReport
 from repro.crypto import RSAKeyPair, sha1_hex
 from repro.dex.hashing import method_instruction_hash
 from repro.dex.model import DexFile, DexMethod

@@ -10,7 +10,7 @@ loops are avoided.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.liveness import live_registers_for_region
 from repro.analysis.qualified_conditions import QCKind, QualifiedCondition

@@ -19,7 +19,7 @@ from repro.apk.package import Apk, build_apk
 from repro.crypto import RSAKeyPair
 from repro.dex import instructions as ins
 from repro.dex.instructions import Instr, Label
-from repro.dex.model import DexFile, DexMethod
+from repro.dex.model import DexMethod
 from repro.dex.opcodes import Op
 
 

@@ -26,7 +26,7 @@ constant can reconstruct the key.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.core.config import DetectionMethod, ResponseKind
 from repro.core.inner_triggers import InnerCondition

@@ -25,9 +25,8 @@ from repro.apk.package import Apk, build_apk
 from repro.crypto import RSAKeyPair
 from repro.dex import instructions as ins
 from repro.dex.instructions import Instr, Label
-from repro.dex.model import DexField, DexFile, DexMethod
+from repro.dex.model import DexField, DexMethod
 from repro.dex.opcodes import Op
-from repro.errors import InstrumentationError
 
 #: Static flag field armed on detection (delayed response).
 FLAG_FIELD = "ssn$flag"

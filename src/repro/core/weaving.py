@@ -19,7 +19,7 @@ the method and into the payload method, with
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
 from repro.dex.instructions import Instr
 from repro.dex.opcodes import Op

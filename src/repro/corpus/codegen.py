@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.dex.builder import MethodBuilder
 from repro.dex.model import DexMethod
 from repro.vm.device import ChoiceDomain, ENV_DOMAINS, IntDomain
-from repro.vm.events import ARITY, EventKind
+from repro.vm.events import EventKind
 
 #: Words some string QCs use; overlaps with the fuzzers' text dictionary
 #: so a fraction of string conditions is reachable by fuzzing.

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional
 
 from repro.apk.package import Apk, build_apk
 from repro.apk.resources import Resources
 from repro.corpus.categories import (
     CATEGORY_BY_NAME,
-    CategoryProfile,
     NAMED_APP_BY_NAME,
     NamedAppSpec,
 )

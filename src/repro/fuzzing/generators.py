@@ -26,7 +26,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dex.model import DexFile
 from repro.dex.opcodes import Op
-from repro.vm.events import ARITY, Event, EventKind, declared_events, random_args
+from repro.vm.events import Event, EventKind, declared_events, random_args
 
 
 class EventGenerator:

@@ -30,7 +30,7 @@ import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apk.io import apk_from_bytes, apk_to_bytes, load_apk
 from repro.apk.package import Apk

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apk.package import Apk, build_apk
-from repro.apk.resources import Resources
 from repro.crypto import RSAKeyPair
 from repro.dex.builder import MethodBuilder
 from repro.dex.model import DexClass, DexField, DexFile

@@ -22,15 +22,20 @@ process crash:
   durable state (dedup windows, queues, sliding windows, takedown
   markers) is serialized, crc-guarded, written to a temp file,
   *verified by re-reading*, atomically renamed over the previous
-  snapshot, and only then are the WALs truncated.  A snapshot that
-  fails verification (``snapshot.write`` fault, disk error) aborts the
-  compaction and keeps the WAL -- durability never regresses.
+  snapshot, and only then are the WALs truncated
+  (:func:`install_snapshot`, which a replication follower uses for
+  shipped images too).  A snapshot that fails verification
+  (``snapshot.write`` fault, disk error) aborts the compaction and
+  keeps the WAL -- durability never regresses.
 * **Recovery.**  ``ReportServer.recover(data_dir)`` loads the snapshot
   (ignoring a corrupt one: the WAL behind it is the fallback), replays
   the meta WAL then each shard WAL, and reopens the logs for append.
   Replay is idempotent -- a crash between snapshot rename and WAL
   truncation merely replays records whose ``(device, nonce)`` the
   snapshot already remembers.
+
+This module is the only one that knows the data-directory layout
+(:func:`wal_path`, :func:`snapshot_path`, :func:`snapshot_image`).
 
 What is deliberately *not* persisted: metrics (observability restarts
 from zero), backpressure-dropped and rejected reports (never acked, the
@@ -48,7 +53,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.chaos.faults import fault_point
 from repro.errors import DurabilityError, ReproError, WireError
@@ -67,9 +72,10 @@ RECORD_TAKEDOWN = 2
 RECORD_REGISTER = 3
 RECORD_EPOCH = 4
 
-#: Snapshot file framing.  Version 2 adds the leadership epoch after the
-#: trusted nonce; version-1 images (pre-supervision) still decode with
-#: ``epoch == 0``.
+#: Snapshot file framing: ``RSNP | payload | >I crc32(payload)``.  Payload
+#: version 2 adds the leadership epoch after a retired 8-byte field
+#: (written as 0, ignored on read); version-1 payloads (pre-supervision)
+#: still decode with ``epoch == 0``.
 SNAPSHOT_MAGIC = b"RSNP"
 SNAPSHOT_VERSION = 2
 SNAPSHOT_NAME = "snapshot.bin"
@@ -83,13 +89,15 @@ _HEADER = struct.Struct(">II")
 # ---------------------------------------------------------------------------
 
 
-def encode_report_record(
-    app_name: str, report: DetectionReport, trusted: bool
-) -> bytes:
-    """Journal payload for one accepted report."""
+def encode_report_record(app_name: str, report: DetectionReport) -> bytes:
+    """Journal payload for one accepted report.
+
+    The byte after the type is a retired flag: written as 0, and
+    ignored on replay so records that carry 1 still decode.
+    """
     return b"".join(
         (
-            struct.pack(">BB", RECORD_REPORT, 1 if trusted else 0),
+            struct.pack(">BB", RECORD_REPORT, 0),
             _pack_str(app_name),
             canonical_bytes(report),
         )
@@ -127,7 +135,7 @@ def encode_epoch_record(epoch: int) -> bytes:
 def decode_record(payload: bytes) -> Tuple:
     """Inverse of the ``encode_*_record`` family.
 
-    Returns one of ``("report", app, report, trusted)``,
+    Returns one of ``("report", app, report)``,
     ``("takedown", app, key, ts)``, ``("register", app, key)``,
     ``("epoch", epoch)``.
     """
@@ -137,9 +145,8 @@ def decode_record(payload: bytes) -> Tuple:
     if kind == RECORD_REPORT:
         if len(payload) < 2:
             raise WireError("truncated WAL report record")
-        trusted = bool(payload[1])
         app_name, offset = _unpack_str(payload, 2)
-        return ("report", app_name, _decode_body(payload[offset:]), trusted)
+        return ("report", app_name, _decode_body(payload[offset:]))
     if kind == RECORD_TAKEDOWN:
         app_name, offset = _unpack_str(payload, 1)
         key_hex, offset = _unpack_str(payload, offset)
@@ -174,7 +181,7 @@ def decode_report_body(body: bytes) -> DetectionReport:
 # (``ReportServer._snapshot_state``) and consumes
 # (``ReportServer._restore_state``)::
 #
-#     {"clock": float, "trusted_nonce": int, "apps": [
+#     {"clock": float, "epoch": int, "apps": [
 #         {"name": str, "key": str,
 #          "takedown_key": Optional[str], "takedown_ts": Optional[float],
 #          "shards": [
@@ -188,7 +195,7 @@ def encode_snapshot(state: dict) -> bytes:
     parts: List[bytes] = [
         struct.pack(">B", SNAPSHOT_VERSION),
         struct.pack(">d", state["clock"]),
-        struct.pack(">Q", state["trusted_nonce"]),
+        struct.pack(">Q", 0),  # retired field
         struct.pack(">Q", state.get("epoch", 0)),
         struct.pack(">H", len(state["apps"])),
     ]
@@ -235,9 +242,7 @@ def _decode_snapshot(payload: bytes) -> dict:
     version = payload[0]
     offset = 1
     (clock,) = struct.unpack_from(">d", payload, offset)
-    offset += 8
-    (trusted_nonce,) = struct.unpack_from(">Q", payload, offset)
-    offset += 8
+    offset += 16  # and the retired 8-byte field after it
     epoch = 0
     if version >= 2:
         (epoch,) = struct.unpack_from(">Q", payload, offset)
@@ -305,12 +310,103 @@ def _decode_snapshot(payload: bytes) -> dict:
         )
     if offset != len(payload):
         raise WireError("trailing bytes after snapshot payload")
-    return {
-        "clock": clock,
-        "trusted_nonce": trusted_nonce,
-        "epoch": epoch,
-        "apps": apps,
-    }
+    return {"clock": clock, "epoch": epoch, "apps": apps}
+
+
+# ---------------------------------------------------------------------------
+# The data directory
+# ---------------------------------------------------------------------------
+
+
+def wal_path(data_dir: str, index: int) -> str:
+    """Shard ``index``'s WAL in ``data_dir``; a negative index is the meta WAL."""
+    if index < 0:
+        return os.path.join(data_dir, "wal-meta.log")
+    return os.path.join(data_dir, f"wal-{index:03d}.log")
+
+
+def snapshot_path(data_dir: str) -> str:
+    return os.path.join(data_dir, SNAPSHOT_NAME)
+
+
+def snapshot_image(payload: bytes, crc: Optional[int] = None) -> bytes:
+    """A snapshot file image: magic, ``payload``, then its crc32.
+
+    ``crc`` overrides the trailer, so a payload corrupted on its way to
+    disk keeps the crc of the clean one and fails the check.
+    """
+    if crc is None:
+        crc = zlib.crc32(payload)
+    return SNAPSHOT_MAGIC + payload + struct.pack(">I", crc)
+
+
+def _read_snapshot_payload(
+    path: str, metrics: Optional[MetricsRegistry] = None
+) -> Optional[bytes]:
+    """The checked payload of the snapshot file at ``path``, or None.
+
+    A missing file is None; a bad magic or crc is None and counted in
+    ``metrics`` as ``recovery.corrupt_snapshots``.
+    """
+    try:
+        with open(path, "rb") as handle:
+            blob = handle.read()
+    except OSError:
+        return None
+    payload = blob[4:-4]
+    if (
+        len(blob) < 9
+        or blob[:4] != SNAPSHOT_MAGIC
+        or zlib.crc32(payload) != struct.unpack(">I", blob[-4:])[0]
+    ):
+        if metrics is not None:
+            metrics.counter("recovery.corrupt_snapshots").inc()
+        return None
+    return payload
+
+
+def install_snapshot(
+    data_dir: str, image: bytes, wals: Iterable,
+    metrics: Optional[MetricsRegistry] = None,
+) -> None:
+    """Make ``image`` the snapshot of ``data_dir``, then truncate ``wals``.
+
+    The image goes to a temp file, is fsynced, re-read and checked, and
+    only then renamed over the snapshot; the WALs (open files) are
+    truncated last, since the snapshot now subsumes them.  An image that
+    fails the check raises :class:`DurabilityError`; it, like an
+    ``OSError``, leaves the directory as it was.
+    """
+    final = snapshot_path(data_dir)
+    tmp_path = final + ".tmp"
+    try:
+        with open(tmp_path, "wb") as handle:
+            handle.write(image)
+            handle.flush()
+            os.fsync(handle.fileno())
+        if _read_snapshot_payload(tmp_path, metrics) is None:
+            raise DurabilityError("snapshot failed verification")
+    except (OSError, DurabilityError):
+        try:
+            os.unlink(tmp_path)
+        except OSError:
+            pass
+        raise
+    os.replace(tmp_path, final)
+    for wal in wals:
+        os.ftruncate(wal.fileno(), 0)
+
+
+def clear_data_dir(data_dir: str) -> None:
+    """Delete the snapshot, any temp image and every WAL in ``data_dir``."""
+    for name in sorted(os.listdir(data_dir)):
+        if name == SNAPSHOT_NAME or name.endswith(".tmp") or (
+            name.startswith("wal-") and name.endswith(".log")
+        ):
+            try:
+                os.unlink(os.path.join(data_dir, name))
+            except OSError:
+                pass
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +441,8 @@ class _WalFile:
         fault_point("wal.fsync")
         os.fsync(self._handle.fileno())
 
-    def truncate(self) -> None:
-        os.ftruncate(self._handle.fileno(), 0)
+    def fileno(self) -> int:
+        return self._handle.fileno()
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -393,26 +489,15 @@ class DurabilityLog:
         """
         self._observers.append(observer)
 
-    # -- paths --------------------------------------------------------------
-
-    def _meta_path(self) -> str:
-        return os.path.join(self.data_dir, "wal-meta.log")
-
-    def _shard_path(self, index: int) -> str:
-        return os.path.join(self.data_dir, f"wal-{index:03d}.log")
-
-    def snapshot_path(self) -> str:
-        return os.path.join(self.data_dir, SNAPSHOT_NAME)
-
     # -- lifecycle ----------------------------------------------------------
 
     def open(self) -> None:
         """Open (and create) every WAL for append."""
         if self._meta is None:
-            self._meta = _WalFile(self._meta_path())
+            self._meta = _WalFile(wal_path(self.data_dir, -1))
         for index in range(self.shard_count):
             if self._shards[index] is None:
-                self._shards[index] = _WalFile(self._shard_path(index))
+                self._shards[index] = _WalFile(wal_path(self.data_dir, index))
 
     def close(self) -> None:
         if self._meta is not None:
@@ -426,12 +511,12 @@ class DurabilityLog:
     # -- appends ------------------------------------------------------------
 
     def append_report(
-        self, app_name: str, report: DetectionReport, shard_index: int,
-        trusted: bool = False,
+        self, app_name: str, report: DetectionReport, shard_index: int
     ) -> bool:
-        wal = self._shards[shard_index]
         return self._append(
-            wal, encode_report_record(app_name, report, trusted), shard_index
+            self._shards[shard_index],
+            encode_report_record(app_name, report),
+            shard_index,
         )
 
     def append_takedown(self, app_name: str, key_hex: str, ts: float) -> bool:
@@ -481,35 +566,20 @@ class DurabilityLog:
         """
         payload = encode_snapshot(server._snapshot_state())
         crc = zlib.crc32(payload)
-        tmp_path = self.snapshot_path() + ".tmp"
+        wals = [wal for wal in [self._meta, *self._shards] if wal is not None]
         try:
             written = fault_point("snapshot.write", payload)
-            with open(tmp_path, "wb") as handle:
-                handle.write(SNAPSHOT_MAGIC)
-                handle.write(written)
-                handle.write(struct.pack(">I", crc))
-                handle.flush()
-                os.fsync(handle.fileno())
-            if self._read_snapshot_payload(tmp_path) is None:
-                raise DurabilityError("snapshot failed verification")
+            install_snapshot(
+                self.data_dir, snapshot_image(written, crc), wals, self.metrics
+            )
         except (OSError, ReproError):
             self.metrics.counter("snapshot.failures").inc()
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
             return False
-        os.replace(tmp_path, self.snapshot_path())
-        if self._meta is not None:
-            self._meta.truncate()
-        for wal in self._shards:
-            if wal is not None:
-                wal.truncate()
         self._appends_since_snapshot = 0
         self.metrics.counter("snapshot.compactions").inc()
         # Followers mirror the compaction: a full snapshot file image
         # supersedes (and truncates) their shipped WALs.
-        image = SNAPSHOT_MAGIC + payload + struct.pack(">I", crc)
+        image = snapshot_image(payload, crc)
         for observer in self._observers:
             observer("snapshot", -1, image)
         return True
@@ -518,7 +588,7 @@ class DurabilityLog:
 
     def load_snapshot(self) -> Optional[dict]:
         """Decode the last snapshot, or None (missing / corrupt)."""
-        payload = self._read_snapshot_payload(self.snapshot_path())
+        payload = _read_snapshot_payload(snapshot_path(self.data_dir), self.metrics)
         if payload is None:
             return None
         try:
@@ -529,21 +599,6 @@ class DurabilityLog:
         self.metrics.counter("snapshot.loads").inc()
         return state
 
-    def _read_snapshot_payload(self, path: str) -> Optional[bytes]:
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        if len(blob) < 9 or blob[:4] != SNAPSHOT_MAGIC:
-            self.metrics.counter("recovery.corrupt_snapshots").inc()
-            return None
-        payload, (crc,) = blob[4:-4], struct.unpack(">I", blob[-4:])
-        if zlib.crc32(payload) != crc:
-            self.metrics.counter("recovery.corrupt_snapshots").inc()
-            return None
-        return payload
-
     def replay(self) -> Iterator[Tuple]:
         """Yield every decoded record: meta WAL first, then each shard.
 
@@ -551,9 +606,8 @@ class DurabilityLog:
         counted in ``recovery.torn_records``, and the file is truncated
         back to its last intact record so future appends stay parseable.
         """
-        paths = [self._meta_path()]
-        paths.extend(self._shard_path(i) for i in range(self.shard_count))
-        for path in paths:
+        for index in range(-1, self.shard_count):
+            path = wal_path(self.data_dir, index)
             try:
                 with open(path, "rb") as handle:
                     data = handle.read()

@@ -35,7 +35,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.crypto.rsa import RSAKeyPair
 from repro.errors import ReportingError, TransportError
@@ -43,6 +43,11 @@ from repro.reporting.client import ReportClient
 from repro.reporting.server import ReportServer, SubmitStatus, TakedownPolicy
 from repro.reporting.verdicts import AggregatedVerdict
 from repro.reporting.wire import SignedReport, parse_report_text
+
+#: Fleet-clock seconds one batch of devices spans.
+BATCH_SECONDS = 60.0
+#: Distinct bomb ids synthetic reports cite.
+BOMB_POOL = 8
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,6 @@ class OutcomeModel:
     report_rate: float
     observed_key_hex: str
     bad_experience_rate: float
-    bomb_pool: int = 8   # distinct bomb ids reports cite
 
     @classmethod
     def calibrate(
@@ -112,17 +116,13 @@ class FleetConfig:
     batch_size: int = 50_000
     shards: int = 8
     seed: int = 0
-    batch_seconds: float = 60.0       # fleet-clock time one batch spans
     attestation_pool: int = 4         # batch attestation keys (and clients)
     target_reports: Optional[int] = 25_000   # cap: sample the reporting
                                              # subpopulation down to this
-    calibration_sessions: int = 5
-    calibration_events: int = 350
     duplicate_rate: float = 0.0       # client double-sends
     forge_rate: float = 0.0           # pirate-forged envelopes
     replay_stale: bool = False        # resubmit a stale report each batch
     transport_failure_rate: float = 0.0
-    stop_on_takedown: bool = False
     policy: TakedownPolicy = field(default_factory=TakedownPolicy)
     data_dir: Optional[str] = None    # WAL + snapshot directory (durable run)
     snapshot_every: int = 1024        # appends between snapshot compactions
@@ -134,10 +134,6 @@ class FleetConfig:
     failover_after_batch: Optional[int] = None  # kill the leader here; the
                                                 # supervisor promotes the
                                                 # follower
-    real_sessions: bool = False       # run a real interpreted play session
-                                       # for every sampled reporter instead of
-                                       # trusting the calibrated model (needs
-                                       # a session_engine passed to run_fleet)
 
 
 @dataclass
@@ -247,12 +243,11 @@ def run_fleet(
     follower), and ``failover_after_batch`` kills the leader service
     mid-run and lets the cluster's supervisor promote the follower --
     the networked analogue of ``crash_after_batch``.
+
+    With ``session_engine`` (a :class:`repro.vm.sessions.SessionEngine`
+    over the suspect apk) every sampled reporter plays a real
+    interpreted session instead of trusting the calibrated model.
     """
-    if config.real_sessions and session_engine is None:
-        raise ReportingError(
-            "real_sessions requires a session_engine "
-            "(repro.vm.sessions.SessionEngine over the suspect apk)"
-        )
     tcp = config.transport == "tcp"
     if config.transport not in ("inproc", "tcp"):
         raise ReportingError(
@@ -376,9 +371,9 @@ def run_fleet(
 
             for offset in _sample_indices(active, report_rate, brng):
                 device_index = batch_start + offset
-                bomb_id = f"b{device_index % model.bomb_pool:03d}"
+                bomb_id = f"b{device_index % BOMB_POOL:03d}"
                 observed_key_hex = model.observed_key_hex
-                if config.real_sessions:
+                if session_engine is not None:
                     # Opt-in fidelity: actually interpret this device's play
                     # session instead of trusting the calibrated outcome.
                     # No report emitted by the real session means no report
@@ -393,7 +388,7 @@ def run_fleet(
                     bomb_id = parsed.get("bomb") or bomb_id
                     observed_key_hex = parsed.get("key") or observed_key_hex
                 client = clients[device_index % len(clients)]
-                timestamp = fleet_clock + brng.random() * config.batch_seconds
+                timestamp = fleet_clock + brng.random() * BATCH_SECONDS
                 client.report(
                     app_name=app_name,
                     bomb_id=bomb_id,
@@ -440,7 +435,7 @@ def run_fleet(
                 if good_count:
                     market.rate_batch(listing, 5, good_count)
 
-            fleet_clock += config.batch_seconds
+            fleet_clock += BATCH_SECONDS
             tracked = on_server(lambda s: s.tracked_state_size())
             if tracked > peak_tracked:
                 peak_tracked = tracked
@@ -477,8 +472,6 @@ def run_fleet(
                 takedown_clock = fleet_clock
                 if market is not None:
                     on_server(lambda s: market.process_server_takedowns(s))
-                if config.stop_on_takedown:
-                    break
     finally:
         if cluster is not None:
             cluster.shutdown()  # also closes the serving server's logs

@@ -43,7 +43,7 @@ from repro.reporting.net.framing import (
     format_endpoint,
     parse_endpoint,
 )
-from repro.reporting.net.replication import ReplicaFollower, snapshot_file_bytes
+from repro.reporting.net.replication import ReplicaFollower
 from repro.reporting.net.service import (
     INGEST_BUCKETS,
     ConnStats,
@@ -81,7 +81,6 @@ __all__ = [
     "format_endpoint",
     "parse_endpoint",
     "ReplicaFollower",
-    "snapshot_file_bytes",
     "INGEST_BUCKETS",
     "ConnStats",
     "IngestService",

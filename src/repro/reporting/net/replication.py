@@ -6,18 +6,16 @@ The leader (inside :class:`~repro.reporting.net.service.IngestService`)
 observes every successful WAL append and every successful compaction
 and relays them verbatim; this module is the other end of that stream:
 
-* :func:`snapshot_file_bytes` renders a server's durable state exactly
-  as ``DurabilityLog.compact`` would write it to disk (magic + payload
-  + crc32), so the bootstrap image a follower receives at connect time
-  is byte-compatible with the snapshot loader it will recover from.
 * :class:`ReplicaFollower` maintains a warm standby data directory over
   a plain blocking socket (its own thread; the follower is a client,
-  not a service): HELLO resets the directory, SNAPSHOT atomically
-  replaces ``snapshot.bin`` and truncates the WALs (mirroring the
-  leader's compaction), RECORD appends verbatim to the same-named WAL
-  file, and an ACK with the cumulative applied count is sent only
-  *after* the touched files are fsynced -- the leader's replica-lag
-  gauge measures durable progress, not buffered bytes.
+  not a service): HELLO resets the directory, SNAPSHOT installs the
+  shipped image exactly as the leader's compaction does
+  (:func:`~repro.reporting.durability.install_snapshot`: checked, then
+  the WALs truncated; an image that fails the check fails the follower
+  and leaves its directory as it was), RECORD appends verbatim to the
+  same-named WAL file, and an ACK with the cumulative applied count is
+  sent only *after* the touched files are fsynced -- the leader's
+  replica-lag gauge measures durable progress, not buffered bytes.
 
 **Failover is snapshot+replay.**  ``promote()`` closes the follower's
 files and hands the directory to ``ReportServer.recover`` -- the exact
@@ -41,11 +39,10 @@ import socket
 import struct
 import threading
 import time
-import zlib
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReportingError, ReproError
-from repro.reporting.durability import SNAPSHOT_MAGIC, SNAPSHOT_NAME, encode_snapshot
+from repro.reporting.durability import clear_data_dir, install_snapshot, wal_path
 from repro.reporting.net.framing import (
     META_WAL,
     MSG_ACK,
@@ -60,11 +57,8 @@ from repro.reporting.net.framing import (
 )
 from repro.reporting.server import ReportServer
 
-
-def snapshot_file_bytes(server: ReportServer) -> bytes:
-    """The server's durable state as a full snapshot file image."""
-    payload = encode_snapshot(server._snapshot_state())
-    return SNAPSHOT_MAGIC + payload + struct.pack(">I", zlib.crc32(payload))
+#: Receive timeout: how often an idle follower re-checks its stop flag.
+POLL_INTERVAL = 0.2
 
 
 class ReplicaFollower:
@@ -83,14 +77,12 @@ class ReplicaFollower:
         *,
         expect_shards: Optional[int] = None,
         connect_timeout: float = 10.0,
-        poll_interval: float = 0.2,
     ) -> None:
         os.makedirs(data_dir, exist_ok=True)
         self.data_dir = data_dir
         self.leader = (leader[0], int(leader[1]))
         self.expect_shards = expect_shards
         self.connect_timeout = connect_timeout
-        self.poll_interval = poll_interval
 
         #: Cumulative applied updates (snapshots + records); what ACKs carry.
         self.applied = 0
@@ -221,7 +213,7 @@ class ReplicaFollower:
         self._sock = sock
         # Short receive timeout: the loop polls the stop flag between
         # reads instead of blocking forever on an idle leader.
-        sock.settimeout(self.poll_interval)
+        sock.settimeout(POLL_INTERVAL)
         reader = MessageReader()
         while not self._stop_flag.is_set():
             try:
@@ -264,19 +256,10 @@ class ReplicaFollower:
             self._reset_dir()
             return 0
         if kind == MSG_SNAPSHOT:
-            if payload[:4] != SNAPSHOT_MAGIC:
-                raise ReportingError("replication snapshot lost its magic")
-            tmp_path = os.path.join(self.data_dir, SNAPSHOT_NAME + ".tmp")
-            with open(tmp_path, "wb") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, os.path.join(self.data_dir, SNAPSHOT_NAME))
-            # Mirror the leader's compaction: the snapshot subsumes the
-            # WALs, so truncate them exactly as the leader truncated its.
-            for handle in self._files.values():
-                os.ftruncate(handle.fileno(), 0)
-                dirty.append(handle) if handle not in dirty else None
+            # The leader's compaction, mirrored: checked, renamed, then
+            # the WALs truncated.  A bad image raises before any change.
+            install_snapshot(self.data_dir, payload, self._files.values())
+            dirty.extend(h for h in self._files.values() if h not in dirty)
             self.snapshots += 1
             return 1
         if kind == MSG_RECORD:
@@ -302,11 +285,6 @@ class ReplicaFollower:
 
     # -- the followed directory ---------------------------------------------
 
-    def _wal_path(self, index: int) -> str:
-        if index == META_WAL:
-            return os.path.join(self.data_dir, "wal-meta.log")
-        return os.path.join(self.data_dir, f"wal-{index:03d}.log")
-
     def _wal_handle(self, index: int):
         handle = self._files.get(index)
         if handle is None:
@@ -314,9 +292,8 @@ class ReplicaFollower:
                 self.shard_count is None or index >= self.shard_count
             ):
                 raise ReportingError(f"RECORD for out-of-range shard {index}")
-            handle = self._files[index] = open(
-                self._wal_path(index), "ab", buffering=0
-            )
+            path = wal_path(self.data_dir, -1 if index == META_WAL else index)
+            handle = self._files[index] = open(path, "ab", buffering=0)
         return handle
 
     def _reset_dir(self) -> None:
@@ -327,14 +304,7 @@ class ReplicaFollower:
         replay another timeline's records into the promoted server.
         """
         self._close_files()
-        for name in sorted(os.listdir(self.data_dir)):
-            if name == SNAPSHOT_NAME or name.endswith(".tmp") or (
-                name.startswith("wal-") and name.endswith(".log")
-            ):
-                try:
-                    os.unlink(os.path.join(self.data_dir, name))
-                except OSError:
-                    pass
+        clear_data_dir(self.data_dir)
         self._wal_handle(META_WAL)
         for index in range(self.shard_count or 0):
             self._wal_handle(index)

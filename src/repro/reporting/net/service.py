@@ -47,6 +47,7 @@ from typing import Callable, List, Optional, Tuple, TypeVar
 from repro.chaos.faults import fault_point
 from repro.errors import FaultInjected, ReportingError, WireError
 from repro.metrics import INGEST_BUCKETS, MetricsRegistry
+from repro.reporting.durability import encode_snapshot, snapshot_image
 from repro.reporting.net.framing import (
     FENCE_MAGIC,
     HEALTH_MAGIC,
@@ -69,6 +70,9 @@ from repro.reporting.server import ReportServer, SubmitStatus
 from repro.reporting.wire import decode_report
 
 T = TypeVar("T")
+
+#: Bytes one socket read asks for (ingest and replica-ack connections).
+READ_CHUNK = 65536
 
 __all__ = ["INGEST_BUCKETS", "ConnStats", "IngestService", "ServiceHandle"]
 
@@ -107,7 +111,6 @@ class IngestService:
         replication_port: Optional[int] = None,
         shard_queue_depth: int = 256,
         process_every: int = 512,
-        read_chunk: int = 65536,
         heartbeat_interval: float = 0.5,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
@@ -130,7 +133,6 @@ class IngestService:
         self.replication_port = replication_port
         self.shard_queue_depth = shard_queue_depth
         self.process_every = process_every
-        self.read_chunk = read_chunk
         self.heartbeat_interval = heartbeat_interval
         self.metrics = metrics if metrics is not None else server.metrics
         self.conn_stats: List[ConnStats] = []
@@ -267,7 +269,7 @@ class IngestService:
         control = bytearray()
         try:
             while not self._closed:
-                data = await reader.read(self.read_chunk)
+                data = await reader.read(READ_CHUNK)
                 if not data:
                     break
                 if mode is None:
@@ -499,8 +501,6 @@ class IngestService:
         if task is not None:
             self._handler_tasks.add(task)
             task.add_done_callback(self._handler_tasks.discard)
-        from repro.reporting.net.replication import snapshot_file_bytes
-
         # Bootstrap synchronously (no await between snapshot render and
         # follower registration): every WAL append after this instant
         # lands in the queue, so the follower misses nothing.
@@ -509,7 +509,10 @@ class IngestService:
             encode_message(MSG_HELLO, bytes((self.server.shard_count,)))
         )
         queue.put_nowait(
-            encode_message(MSG_SNAPSHOT, snapshot_file_bytes(self.server))
+            encode_message(
+                MSG_SNAPSHOT,
+                snapshot_image(encode_snapshot(self.server._snapshot_state())),
+            )
         )
         # An immediate beat so the follower learns the leader's epoch
         # without waiting out the first heartbeat interval.
@@ -523,7 +526,7 @@ class IngestService:
         acks = MessageReader()
         try:
             while not self._closed:
-                data = await reader.read(self.read_chunk)
+                data = await reader.read(READ_CHUNK)
                 if not data:
                     break
                 for kind, payload in acks.feed(data):

@@ -227,7 +227,6 @@ class ReportServer:
         self.metrics = metrics or MetricsRegistry()
         self.clock = 0.0
         self._apps: Dict[str, _AppState] = {}
-        self._trusted_nonce = 0
         #: Leadership generation.  Monotonic across crashes (journaled to
         #: the meta WAL, carried by snapshots) -- a promoted follower bumps
         #: it so a fenced stale leader is recognisable by its lower epoch.
@@ -327,51 +326,7 @@ class ReportServer:
             return self._reject("reporting.unknown_app", SubmitStatus.UNKNOWN_APP)
         if not item.verify():
             return self._reject("reporting.rejected_forged", SubmitStatus.BAD_SIGNATURE)
-        return self._admit(app, item.report)
-
-    def ingest_trusted(
-        self,
-        app_name: str,
-        *,
-        device_id: str,
-        observed_key_hex: str,
-        bomb_id: str = "",
-        timestamp: Optional[float] = None,
-        nonce: Optional[int] = None,
-    ) -> SubmitStatus:
-        """Ingest a report whose sender was authenticated out of band.
-
-        Skips signature checks but shares dedup, backpressure and the
-        takedown policy with :meth:`submit`.  Without an explicit
-        ``timestamp`` the report is stamped with the server clock, and
-        without a ``nonce`` it draws the next trusted nonce.  The
-        ``trusted`` flag is journaled with each report and the nonce
-        counter with each snapshot, so a recovered server never reissues
-        a trusted nonce.
-        """
-        # Count before any reject, exactly like ``submit`` -- otherwise
-        # rejected trusted reports vanish from the received counter and
-        # acceptance-rate math disagrees between the two ingest paths.
-        self.metrics.counter("reporting.received").inc()
-        app = self._apps.get(app_name)
-        if app is None:
-            return self._reject("reporting.unknown_app", SubmitStatus.UNKNOWN_APP)
-        if nonce is None:
-            self._trusted_nonce += 1
-            nonce = self._trusted_nonce
-        report = DetectionReport(
-            app_name=app_name,
-            bomb_id=bomb_id,
-            device_id=device_id,
-            observed_key_hex=observed_key_hex.lower(),
-            timestamp=self.clock if timestamp is None else timestamp,
-            nonce=nonce,
-        )
-        return self._admit(app, report, trusted=True)
-
-    def _admit(
-        self, app: _AppState, report: DetectionReport, trusted: bool = False
-    ) -> SubmitStatus:
+        report = item.report
         if report.timestamp < self.clock - self.max_report_age:
             return self._reject("reporting.rejected_replayed", SubmitStatus.REPLAYED)
         if report.timestamp > self.clock:
@@ -386,9 +341,7 @@ class ReportServer:
             # Journal before mutating shard state: ACCEPTED means
             # durable.  A failed append answers DROPPED (and records no
             # nonce) so the client's retry is not misread as a duplicate.
-            if not self._durability.append_report(
-                app.name, report, shard_index, trusted=trusted
-            ):
+            if not self._durability.append_report(app.name, report, shard_index):
                 return self._reject("reporting.wal_failed", SubmitStatus.DROPPED)
         shard.remember(report.device_id, report.nonce, self.dedup_window)
         shard.queue.append(report)
@@ -516,7 +469,6 @@ class ReportServer:
         """Plain-data view of the durable state (snapshot payload)."""
         return {
             "clock": self.clock,
-            "trusted_nonce": self._trusted_nonce,
             "epoch": self.epoch,
             "apps": [
                 {
@@ -547,7 +499,6 @@ class ReportServer:
         from repro.reporting.durability import decode_report_body
 
         self.clock = state["clock"]
-        self._trusted_nonce = state["trusted_nonce"]
         self.epoch = state.get("epoch", 0)
         for app_state in state["apps"]:
             if len(app_state["shards"]) != self.shard_count:
@@ -599,13 +550,11 @@ class ReportServer:
                 if epoch > self.epoch:
                     self.epoch = epoch
             else:  # report
-                _, name, report, trusted = record
+                _, name, report = record
                 app = self._apps.get(name)
                 if app is None:
                     self.metrics.counter("recovery.skipped_records").inc()
                     continue
-                if trusted and report.nonce > self._trusted_nonce:
-                    self._trusted_nonce = report.nonce
                 if report.timestamp > self.clock:
                     self.clock = report.timestamp
                 shard = app.shards[self._shard_index(report.device_id)]

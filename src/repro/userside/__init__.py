@@ -12,7 +12,6 @@ from repro.userside.simulation import (
     PlaySession,
     FirstTriggerStats,
     simulate_first_triggers,
-    population_trigger_fraction,
 )
 from repro.userside.market import Market, Listing, InstallRecord
 
@@ -20,7 +19,6 @@ __all__ = [
     "PlaySession",
     "FirstTriggerStats",
     "simulate_first_triggers",
-    "population_trigger_fraction",
     "Market",
     "Listing",
     "InstallRecord",

@@ -30,7 +30,7 @@ signed by an offending key.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.apk.package import Apk

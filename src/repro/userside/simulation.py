@@ -10,7 +10,7 @@ app with varied device configurations, 60-minute timeout.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import List, Optional
 
 from repro.apk.package import Apk
 from repro.errors import MethodNotFound, VMError
@@ -135,36 +135,3 @@ def simulate_first_triggers(
         else:
             stats.times.append(elapsed)
     return stats
-
-
-def population_trigger_fraction(
-    apk: Apk,
-    real_bomb_ids: Set[str],
-    users: int = 30,
-    session_seconds: float = 900.0,
-    population_seed: int = 0,
-) -> float:
-    """Fraction of bombs triggered by a whole user population.
-
-    Backs the Section 5 claim: "given a large number of diverse users
-    ... most of the logic bombs will be triggered on the user side."
-    """
-    population = DevicePopulation(seed=population_seed)
-    triggered: Set[str] = set()
-    for user in range(users):
-        device = population.sample()
-        session = PlaySession(apk, device, seed=population_seed * 7000 + user)
-        runtime = session.runtime
-        start = runtime.device.clock
-        iterator = session._generator.events()
-        while runtime.device.clock - start < session_seconds:
-            event = next(iterator)
-            try:
-                runtime.dispatch(event)
-            except MethodNotFound:
-                runtime.device.advance(Event.DURATION)
-            except VMError:
-                session._restart(runtime.device.clock)
-                runtime = session.runtime
-        triggered |= runtime.bombs.bombs_with("inner_met") & real_bomb_ids
-    return len(triggered) / len(real_bomb_ids) if real_bomb_ids else 0.0

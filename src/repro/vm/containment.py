@@ -33,7 +33,7 @@ the legacy crash-through behaviour is preserved bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Set
 
 #: Control-slot value meaning "fall through" (mirrors

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, List, Optional, Set, Tuple
 
 from repro.dex.model import DexMethod
 from repro.dex.opcodes import Op

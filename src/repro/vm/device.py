@@ -23,8 +23,8 @@ This module defines:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.errors import VMCrash
 

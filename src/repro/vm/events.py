@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 
 class EventKind(enum.Enum):

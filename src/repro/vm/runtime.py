@@ -15,7 +15,7 @@ One :class:`Runtime` is one app process on one device.  It owns:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.chaos.faults import fault_point

@@ -2,6 +2,7 @@
 
 import os
 import struct
+import zlib
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.reporting.durability import (
     encode_report_record,
     encode_snapshot,
     encode_takedown_record,
+    wal_path,
 )
 
 ORIGINAL = "aa" * 20
@@ -67,11 +69,9 @@ class TestRecordCodec:
             app_name="Game", bomb_id="b007", device_id="dev-9",
             observed_key_hex=PIRATE, timestamp=12.5, nonce=77,
         )
-        for trusted in (False, True):
-            payload = encode_report_record("Game", report, trusted)
-            kind, app, decoded, got_trusted = decode_record(payload)
-            assert (kind, app, got_trusted) == ("report", "Game", trusted)
-            assert decoded == report
+        payload = encode_report_record("Game", report)
+        assert payload[1] == 0
+        assert decode_record(payload) == ("report", "Game", report)
 
     def test_takedown_and_register_records_roundtrip(self):
         assert decode_record(encode_takedown_record("Game", PIRATE, 42.0)) == (
@@ -165,20 +165,23 @@ class TestCrashRecover:
         assert counter(recovered, "reporting.takedowns") == 0
         recovered.close()
 
-    def test_trusted_nonce_continuity(self, tmp_path):
+    def test_report_record_with_flag_byte_1_replays(self, attest_key, tmp_path):
+        # The byte after a report record's type is a retired flag that
+        # some journals hold as 1; replay must ignore it.
         data_dir = str(tmp_path / "state")
-        server = make_server(data_dir)
-        assert server.ingest_trusted(
-            "Game", device_id="agg-1", observed_key_hex=PIRATE
-        ) is SubmitStatus.ACCEPTED
-        server.crash()
+        make_server(data_dir).crash()
+        signed = make_signed(attest_key, device="d1", nonce=5)
+        payload = bytearray(encode_report_record("Game", signed.report))
+        payload[1] = 1
+        shard = ReportServer(shards=4).shard_for("d1")
+        with open(wal_path(data_dir, shard), "ab") as handle:
+            handle.write(struct.pack(">II", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
 
         recovered = ReportServer.recover(data_dir, shards=4)
-        # The auto-nonce sequence resumes past the replayed report; a
-        # reset would collide with agg-1's journaled nonce.
-        assert recovered.ingest_trusted(
-            "Game", device_id="agg-1", observed_key_hex=PIRATE
-        ) is SubmitStatus.ACCEPTED
+        assert counter(recovered, "wal.replayed") == 2  # registration + report
+        assert recovered.queue_depth() == 1
+        assert recovered.submit(signed) is SubmitStatus.DUPLICATE
         recovered.close()
 
 
@@ -334,6 +337,12 @@ class TestFaultPoints:
         # counter keeps climbing while the fault stays armed.)
         assert counter(server, "snapshot.failures") >= 1
         assert counter(server, "snapshot.compactions") == 0
+        # Every failure was a failed read-back check, and counted as one;
+        # no temp image is left behind.
+        assert counter(server, "recovery.corrupt_snapshots") == counter(
+            server, "snapshot.failures"
+        )
+        assert not [n for n in os.listdir(data_dir) if n.endswith(".tmp")]
         server.process()
         expected = server.verdicts()
         server.crash()
@@ -373,7 +382,7 @@ class TestEpochPersistence:
         server = make_server()
         payload = bytearray(encode_snapshot(server._snapshot_state()))
         assert payload[0] == 2
-        # v2 layout: version | >d clock | >Q trusted_nonce | >Q epoch | apps
+        # v2 layout: version | >d clock | >Q retired (0) | >Q epoch | apps
         v1 = bytes([1]) + bytes(payload[1:17]) + bytes(payload[25:])
         state = decode_snapshot(v1)
         assert state["epoch"] == 0

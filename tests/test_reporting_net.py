@@ -31,6 +31,7 @@ from repro.reporting import (
     run_fleet,
     sign_report,
 )
+from repro.reporting.durability import encode_snapshot, snapshot_image
 from repro.reporting.net import (
     FENCE_MAGIC,
     HEALTH_MAGIC,
@@ -440,6 +441,48 @@ class TestReplication:
                 follower.wait_applied(1, timeout=5)
         finally:
             handle.stop()
+
+    def test_follower_rejects_corrupt_snapshot_and_keeps_its_dir(self, tmp_path):
+        # Leader traffic captured from a durable server: its state image
+        # with one app, the meta RECORD registering a second, and the
+        # image after it with the crc trailer flipped.
+        leader = make_server(data_dir=str(tmp_path / "leader"))
+        good = snapshot_image(encode_snapshot(leader._snapshot_state()))
+        records = []
+        leader._durability.add_observer(
+            lambda event, index, record: records.append(record)
+        )
+        leader.register_app("Other", PIRATE)
+        bad = bytearray(snapshot_image(encode_snapshot(leader._snapshot_state())))
+        bad[-1] ^= 1
+        leader.crash()
+
+        replica = tmp_path / "replica"
+        listener = socket.create_server(("127.0.0.1", 0))
+        follower = ReplicaFollower(
+            str(replica), listener.getsockname(), expect_shards=4
+        ).start()
+        conn, _ = listener.accept()
+        try:
+            conn.sendall(
+                encode_message(MSG_HELLO, bytes((4,)))
+                + encode_message(MSG_SNAPSHOT, good)
+                + encode_message(MSG_RECORD, bytes((META_WAL,)) + records[0])
+            )
+            assert follower.wait_applied(2)
+            before = {p.name: p.read_bytes() for p in replica.iterdir()}
+            conn.sendall(encode_message(MSG_SNAPSHOT, bytes(bad)))
+            with pytest.raises(ReportingError):
+                follower.wait_applied(3)
+        finally:
+            follower.stop()
+            conn.close()
+            listener.close()
+        assert {p.name: p.read_bytes() for p in replica.iterdir()} == before
+
+        recovered = ReportServer.recover(str(replica), shards=4)
+        assert sorted(recovered.apps) == [APP, "Other"]
+        recovered.close()
 
     def test_replication_requires_durable_server(self):
         server = make_server()  # no data_dir

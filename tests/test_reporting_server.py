@@ -78,19 +78,6 @@ class TestSubmitValidation:
         assert status is SubmitStatus.UNKNOWN_APP
         assert server.metrics.counter("reporting.unknown_app").value == 1
 
-    def test_trusted_unknown_app_counts_received_like_submit(self, attest_key):
-        server = make_server()
-        status = server.ingest_trusted(
-            "NotMine", device_id="agg-1", observed_key_hex=PIRATE
-        )
-        assert status is SubmitStatus.UNKNOWN_APP
-        # Both ingest paths must count the attempt, or acceptance-rate
-        # math diverges between them.
-        assert server.metrics.counter("reporting.received").value == 1
-        server.submit(make_signed(attest_key, app="NotMine"))
-        assert server.metrics.counter("reporting.received").value == 2
-        assert server.metrics.counter("reporting.unknown_app").value == 2
-
     def test_duplicate_nonce_dropped(self, attest_key):
         server = make_server()
         signed = make_signed(attest_key, device="d1", nonce=77)

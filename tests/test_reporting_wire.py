@@ -192,14 +192,14 @@ class TestDecodersRaiseOnlyWireError:
     def test_non_utf8_wal_record_and_snapshot(self, attest_key):
         records = (
             encode_register_record("Gxme", KEY_A),
-            encode_report_record("Gxme", _report(), True),
-            encode_report_record("Game", _report(app_name="Gxme"), True),
+            encode_report_record("Gxme", _report()),
+            encode_report_record("Game", _report(app_name="Gxme")),
         )
         for record in records:
             with pytest.raises(WireError):
                 decode_record(record.replace(b"Gxme", b"G\xffme", 1))
         image = encode_snapshot(
-            {"clock": 0.0, "trusted_nonce": 0, "epoch": 0, "apps": [{
+            {"clock": 0.0, "epoch": 0, "apps": [{
                 "name": "Gxme", "key": KEY_A, "takedown_key": None,
                 "takedown_ts": None, "shards": [],
             }]}
@@ -282,7 +282,7 @@ def test_decoders_of_one_corrupted_byte_raise_only_wire_error(attest_key, pos, b
     valid = (
         (decode_report, encode_report(sign_report(_report(), attest_key))),
         (FrameReader().feed, encode_report(sign_report(_report(), attest_key))),
-        (decode_record, encode_report_record("Game", _report(), False)),
+        (decode_record, encode_report_record("Game", _report())),
         (decode_health, encode_health(HealthStatus(epoch=3, role="fenced", endpoint="h:9"))),
     )
     for decode, blob in valid:

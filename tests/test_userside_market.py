@@ -205,16 +205,25 @@ def test_rate_batch_matches_individual_ratings(market, small_apk):
         market.rate_batch(listing, 3, -1)
 
 
-def test_server_takedown_pulls_listing(market, pirated_apk, attacker_key, developer_key):
-    from repro.reporting import ReportServer, TakedownPolicy
+def test_server_takedown_pulls_listing(
+    market, pirated_apk, attacker_key, developer_key, attest_key
+):
+    from repro.reporting import DetectionReport, SubmitStatus, sign_report
 
     listing = market.publish("Game (free!)", pirated_apk)
     market.download_batch(listing, 500)
     server = ReportServer(shards=2, policy=TakedownPolicy(distinct_devices=2))
     server.register_app("Game", developer_key.public.fingerprint().hex())
     offender = attacker_key.public.fingerprint().hex()
-    for device in ("d1", "d2"):
-        server.ingest_trusted("Game", device_id=device, observed_key_hex=offender)
+    for nonce, device in enumerate(("d1", "d2"), start=1):
+        signed = sign_report(
+            DetectionReport(
+                app_name="Game", bomb_id="", device_id=device,
+                observed_key_hex=offender, timestamp=0.0, nonce=nonce,
+            ),
+            attest_key,
+        )
+        assert server.submit(signed) is SubmitStatus.ACCEPTED
     server.process()
     pulled = market.process_server_takedowns(server)
     assert pulled == [listing]

@@ -14,7 +14,6 @@ from repro.core.config import DetectionMethod, ResponseKind
 from repro.core.payloads import DetectionSpec, PayloadSpec, build_payload_dex
 from repro.dex import assemble
 from repro.dex.serializer import serialize_dex
-from repro.errors import ReportingError
 from repro.vm import Runtime
 from repro.vm.containment import ContainmentPolicy
 from repro.vm.interpreter import CompositeTracer, CountingTracer, Tracer
@@ -242,19 +241,6 @@ class TestCalibrationEquivalence:
 
 
 class TestRealSessionFleet:
-    def test_real_sessions_requires_engine(self):
-        from repro.reporting import FleetConfig, OutcomeModel, run_fleet
-
-        model = OutcomeModel(
-            report_rate=0.1, observed_key_hex="bb" * 20, bad_experience_rate=0.1
-        )
-        with pytest.raises(ReportingError, match="session_engine"):
-            run_fleet(
-                "Game", "aa" * 20, model,
-                FleetConfig(devices=100, batch_size=50, shards=2,
-                            real_sessions=True),
-            )
-
     def test_real_session_fleet_smoke(self, pirated_apk, attacker_key):
         """Opt-in real sessions: every sampled reporter plays a real
         interpreted session; reports come from actual bomb responses."""
@@ -268,7 +254,7 @@ class TestRealSessionFleet:
         engine = SessionEngine(pirated_apk, seed=0, events=350)
         config = FleetConfig(
             devices=200, batch_size=100, shards=2, seed=1,
-            target_reports=6, real_sessions=True,
+            target_reports=6,
         )
         result = run_fleet(
             "Game", "aa" * 20, model, config, session_engine=engine
