@@ -1,4 +1,12 @@
-"""Control-flow graph construction.
+"""Control flow of a method: the one successor relation, the one
+forward worklist solver, and the basic-block graph built on them.
+
+:func:`instruction_successors` is the only place that decides which
+pcs can follow an instruction; the verifier, the HSO walker, liveness
+and :func:`build_cfg` all read control flow from it.  A branch to an
+undefined label raises :class:`~repro.errors.DexError`, as
+:meth:`DexMethod.resolve` does, and so does a switch table that is no
+dict.
 
 Blocks are maximal straight-line instruction ranges over the method's
 instruction list (label markers included in the range but not counted
@@ -9,11 +17,74 @@ something may jump to it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
+from repro.dex.instructions import Instr
 from repro.dex.model import DexMethod
 from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op, TERMINATORS, UNCONDITIONAL_EXITS
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, DexError
+
+#: Opcodes whose branch labels are control-flow edges.
+_BRANCHES = CONDITIONAL_BRANCHES | {Op.GOTO, Op.SWITCH}
+
+State = TypeVar("State")
+
+
+def instruction_successors(
+    instructions: Sequence[Instr], labels: Mapping[str, int]
+) -> List[Tuple[int, ...]]:
+    """Per-pc successor pcs, in branch-label order then fall-through.
+
+    Every op but an unconditional exit falls through to ``pc + 1``
+    while there is one; a branch also reaches its labels.  An
+    undefined label or a switch table that is no dict raises
+    :class:`DexError`.
+    """
+    last = len(instructions)
+    out: List[Tuple[int, ...]] = []
+    for pc, instr in enumerate(instructions):
+        successors: List[int] = []
+        if instr.op is Op.SWITCH and not isinstance(instr.value, dict):
+            raise DexError(f"pc {pc}: switch table is not a dict")
+        if instr.op in _BRANCHES:
+            for name in instr.branch_labels():
+                try:
+                    successors.append(labels[name])
+                except KeyError:
+                    raise DexError(f"pc {pc}: undefined label {name!r}") from None
+        if instr.op not in UNCONDITIONAL_EXITS and pc + 1 < last:
+            successors.append(pc + 1)
+        out.append(tuple(dict.fromkeys(successors)))
+    return out
+
+
+def solve_forward(
+    instructions: Sequence[Instr],
+    successors: Sequence[Tuple[int, ...]],
+    entry: State,
+    transfer: Callable[[State, Instr], State],
+    join: Callable[[State, State], State],
+) -> List[Optional[State]]:
+    """Per-pc state on entry to each instruction, None where unreachable.
+
+    A stack worklist from pc 0: a label passes its state through, any
+    other instruction through ``transfer``; a successor whose joined
+    state changes is pushed again.
+    """
+    states: List[Optional[State]] = [None] * len(instructions)
+    states[0] = entry
+    work = [0]
+    while work:
+        pc = work.pop()
+        instr = instructions[pc]
+        after = states[pc] if instr.op is Op.LABEL else transfer(states[pc], instr)
+        for successor in successors[pc]:
+            old = states[successor]
+            merged = after if old is None else join(old, after)
+            if merged != old:
+                states[successor] = merged
+                work.append(successor)
+    return states
 
 
 @dataclass
@@ -52,10 +123,10 @@ class ControlFlowGraph:
             out.extend((block.index, successor) for successor in block.successors)
         return out
 
-    def reachable(self) -> Set[int]:
-        """Block indices reachable from entry."""
+    def reachable(self, start: int = 0) -> Set[int]:
+        """Block indices reachable from block ``start`` (default: the entry)."""
         seen: Set[int] = set()
-        work = [0] if self.blocks else []
+        work = [start]
         while work:
             index = work.pop()
             if index in seen:
@@ -70,6 +141,7 @@ def build_cfg(method: DexMethod) -> ControlFlowGraph:
     instructions = method.instructions
     if not instructions:
         raise AnalysisError(f"{method.qualified_name}: empty method")
+    successors = instruction_successors(instructions, method.label_map())
 
     # Leaders: entry, every label marker, and every fall-through after a
     # terminator.
@@ -88,51 +160,10 @@ def build_cfg(method: DexMethod) -> ControlFlowGraph:
         blocks.append(BasicBlock(index=index, start=start, end=end))
         leader_to_block[start] = index
 
-    def block_at(pc: int) -> int:
-        # pc is always a leader when used as a branch target (labels are
-        # leaders); fall-through pcs are leaders by construction too.
-        try:
-            return leader_to_block[pc]
-        except KeyError:
-            raise AnalysisError(f"branch target pc {pc} is not a leader") from None
-
+    # A block's edges are those of its last pc; each successor of that
+    # pc is a label or the pc right after the block, so a leader.
     for block in blocks:
-        # Find the last *real* instruction of the block (trailing labels
-        # only happen in empty tail blocks).
-        terminator: Optional[int] = None
-        for pc in range(block.end - 1, block.start - 1, -1):
-            if instructions[pc].op is not Op.LABEL:
-                terminator = pc
-                break
-        if terminator is None:
-            # Label-only block: pure fall-through.
-            if block.end < len(instructions):
-                block.successors.append(block_at(block.end))
-            continue
-        instr = instructions[terminator]
-        if instr.op in UNCONDITIONAL_EXITS:
-            if instr.op is Op.GOTO:
-                block.successors.append(block_at(method.resolve(instr.target)))
-        elif instr.op in CONDITIONAL_BRANCHES:
-            block.successors.append(block_at(method.resolve(instr.target)))
-            if block.end < len(instructions):
-                target = block_at(block.end)
-                if target not in block.successors:
-                    block.successors.append(target)
-        elif instr.op is Op.SWITCH:
-            for label in instr.value.values():
-                target = block_at(method.resolve(label))
-                if target not in block.successors:
-                    block.successors.append(target)
-            if block.end < len(instructions):
-                target = block_at(block.end)
-                if target not in block.successors:
-                    block.successors.append(target)
-        else:
-            if block.end < len(instructions):
-                block.successors.append(block_at(block.end))
-
-    for block in blocks:
+        block.successors = [leader_to_block[pc] for pc in successors[block.end - 1]]
         for successor in block.successors:
             blocks[successor].predecessors.append(block.index)
 

@@ -15,44 +15,18 @@ dead at RETURN_VOID, only the returned register is live at RETURN.
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
+from repro.analysis.cfg import instruction_successors
+from repro.dex.instructions import Instr
 from repro.dex.model import DexMethod
-from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
 
 
-def instruction_successors(method: DexMethod) -> List[Tuple[int, ...]]:
-    """Per-pc successor lists (instruction granularity)."""
-    instructions = method.instructions
-    labels = method.label_map()
-    out: List[Tuple[int, ...]] = []
-    last = len(instructions)
-    for pc, instr in enumerate(instructions):
-        op = instr.op
-        successors: List[int] = []
-        if op is Op.GOTO:
-            successors.append(labels[instr.target])
-        elif op in CONDITIONAL_BRANCHES:
-            successors.append(labels[instr.target])
-            if pc + 1 < last:
-                successors.append(pc + 1)
-        elif op is Op.SWITCH:
-            successors.extend(labels[t] for t in instr.value.values())
-            if pc + 1 < last:
-                successors.append(pc + 1)
-        elif op in (Op.RETURN, Op.RETURN_VOID, Op.THROW):
-            pass
-        else:
-            if pc + 1 < last:
-                successors.append(pc + 1)
-        out.append(tuple(dict.fromkeys(successors)))
-    return out
-
-
-def liveness(method: DexMethod) -> Tuple[List[Set[int]], List[Set[int]]]:
-    """Return ``(live_in, live_out)`` register sets per pc."""
-    instructions = method.instructions
-    successors = instruction_successors(method)
+def liveness(
+    instructions: Sequence[Instr], successors: Sequence[Tuple[int, ...]]
+) -> Tuple[List[Set[int]], List[Set[int]]]:
+    """Return ``(live_in, live_out)`` register sets per pc, given the
+    per-pc successors of :func:`repro.analysis.cfg.instruction_successors`."""
     count = len(instructions)
     live_in: List[Set[int]] = [set() for _ in range(count)]
     live_out: List[Set[int]] = [set() for _ in range(count)]
@@ -94,8 +68,8 @@ def live_registers_for_region(
     liveness of the *target* pc, not of whatever instruction happens to
     sit at ``end`` textually.
     """
-    live_in, _ = liveness(method)
-    successors = instruction_successors(method)
+    successors = instruction_successors(method.instructions, method.label_map())
+    live_in, _ = liveness(method.instructions, successors)
     entry_live = set(live_in[start]) if start < len(live_in) else set()
 
     writes: Set[int] = set()

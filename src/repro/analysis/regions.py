@@ -18,7 +18,7 @@ requirement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from repro.analysis.qualified_conditions import QCKind, QualifiedCondition
 from repro.dex.model import DexMethod
@@ -45,15 +45,6 @@ def _labels_inside(method: DexMethod, start: int, end: int) -> Set[str]:
     }
 
 
-def _targets_of(instr) -> List[str]:
-    targets = []
-    if instr.target is not None:
-        targets.append(instr.target)
-    if instr.op is Op.SWITCH:
-        targets.extend(instr.value.values())
-    return targets
-
-
 def region_is_weavable(method: DexMethod, start: int, end: int, exit_label: str) -> bool:
     """Check the single-entry / known-exit contract for ``[start, end)``."""
     if end <= start:
@@ -63,7 +54,7 @@ def region_is_weavable(method: DexMethod, start: int, end: int, exit_label: str)
     # Every branch inside must target a label inside the region or the
     # exit label.
     for instr in method.instructions[start:end]:
-        for target in _targets_of(instr):
+        for target in instr.branch_labels():
             if target != exit_label and target not in inside:
                 return False
 
@@ -71,7 +62,7 @@ def region_is_weavable(method: DexMethod, start: int, end: int, exit_label: str)
     for pc, instr in enumerate(method.instructions):
         if start <= pc < end:
             continue
-        for target in _targets_of(instr):
+        for target in instr.branch_labels():
             if target in inside:
                 return False
     return True

@@ -100,27 +100,12 @@ def _guarding_branches(method: DexMethod, cfg, sliced: Set[int]) -> Set[int]:
                 # being reachable from all sides does not make the
                 # branch irrelevant to the conditional part).
                 reach_sets = [
-                    frozenset(_reached_sliced(cfg, successor, sliced_blocks))
+                    frozenset(cfg.reachable(successor) & sliced_blocks)
                     for successor in block.successors
                 ]
                 if len(set(reach_sets)) > 1:
                     guards.add(pc)
     return guards
-
-
-def _reached_sliced(cfg, start: int, targets: Set[int]) -> Set[int]:
-    seen: Set[int] = set()
-    reached: Set[int] = set()
-    work = [start]
-    while work:
-        index = work.pop()
-        if index in seen:
-            continue
-        seen.add(index)
-        if index in targets:
-            reached.add(index)
-        work.extend(cfg.blocks[index].successors)
-    return reached
 
 
 def extract_slice_method(method: DexMethod, criterion_pc: int) -> DexMethod:

@@ -14,7 +14,8 @@ Pipeline, per :func:`analyze_dex`:
     branch decided so.
 
 2.  **Predicate recovery.**  A forward abstract-interpretation walk
-    (modeled on the verifier's register dataflow) tracks, per register,
+    (the verifier's successor relation and worklist solver, both from
+    :mod:`repro.analysis.cfg`, over another lattice) tracks, per register,
     a set of *origin tags* -- where the value came from (environment
     reads, the clock, randomness, hashes, detection probes, plain
     constants) -- plus the constant it was compared against, when one
@@ -53,7 +54,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.analysis.cfg import BasicBlock, ControlFlowGraph, build_cfg
+from repro.analysis.cfg import (
+    BasicBlock,
+    build_cfg,
+    instruction_successors,
+    solve_forward,
+)
 from repro.analysis.dominators import control_dependence
 from repro.dex.model import DexFile, DexMethod
 from repro.dex.opcodes import (
@@ -62,7 +68,7 @@ from repro.dex.opcodes import (
     LIT_BINOPS,
     Op,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, DexError
 
 # ---------------------------------------------------------------------------
 # Sources, sinks and their weights.
@@ -277,51 +283,14 @@ class _TaintWalker:
         if not instructions:
             self.states = []
             return []
-        count = len(instructions)
-        labels = method.label_map()
-        entry = tuple(_BOTTOM for _ in range(method.registers))
-        states: List[Optional[Tuple[AbsVal, ...]]] = [None] * count
-        states[0] = entry
-        work = [0]
-        while work:
-            pc = work.pop()
-            state = states[pc]
-            assert state is not None
-            instr = instructions[pc]
-            after = state if instr.op is Op.LABEL else self._transfer(state, instr)
-            for successor in self._successors(pc, labels):
-                merged = (
-                    after
-                    if states[successor] is None
-                    else _join_state(states[successor], after)
-                )
-                if merged != states[successor]:
-                    states[successor] = merged
-                    work.append(successor)
-        self.states = states
-        return states
-
-    def _successors(self, pc: int, labels: Dict[str, int]) -> Tuple[int, ...]:
-        instructions = self.method.instructions
-        instr = instructions[pc]
-        op = instr.op
-        out: List[int] = []
-        if op is Op.GOTO:
-            out.append(labels[instr.target])
-        elif op in CONDITIONAL_BRANCHES:
-            out.append(labels[instr.target])
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        elif op is Op.SWITCH:
-            out.extend(labels[t] for t in instr.value.values())
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        elif op in (Op.RETURN, Op.RETURN_VOID, Op.THROW):
-            pass
-        else:
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        return tuple(dict.fromkeys(out))
+        self.states = solve_forward(
+            instructions,
+            instruction_successors(instructions, method.label_map()),
+            tuple(_BOTTOM for _ in range(method.registers)),
+            self._transfer,
+            _join_state,
+        )
+        return self.states
 
     def _invoke_result(self, instr, state: Tuple[AbsVal, ...]) -> AbsVal:
         name = instr.value
@@ -552,7 +521,7 @@ def compute_summaries(
                 walker = _TaintWalker(method, summaries)
                 walker.run()
                 tags = walker.return_tags()
-            except (AnalysisError, KeyError, IndexError):
+            except (AnalysisError, DexError, IndexError):
                 continue
             if tags - summaries[name].return_tags:
                 summaries[name].return_tags |= tags
@@ -589,18 +558,6 @@ def _predicate_of(
             consts.append(reg_const)
     const = consts[0] if len(consts) == 1 else None
     return _classify(tags, const), const
-
-
-def _reachable_from(cfg: ControlFlowGraph, start: int) -> Set[int]:
-    seen: Set[int] = set()
-    work = [start]
-    while work:
-        index = work.pop()
-        if index in seen:
-            continue
-        seen.add(index)
-        work.extend(cfg.blocks[index].successors)
-    return seen
 
 
 def _region_sinks(
@@ -685,7 +642,7 @@ def analyze_method(
             if start is None:
                 side_regions[side] = set()
             else:
-                side_regions[side] = region & _reachable_from(cfg, start)
+                side_regions[side] = region & cfg.reachable(start)
 
         emitted = False
         for side, start in sides:
@@ -751,7 +708,7 @@ def scan_methods(
         scan.methods_scanned += 1
         try:
             findings, opaque, classified = analyze_method(method, summaries)
-        except (AnalysisError, KeyError, IndexError):
+        except (AnalysisError, DexError, IndexError):
             scan.methods_skipped += 1
             continue
         scan.branches_classified += classified

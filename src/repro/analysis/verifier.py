@@ -5,7 +5,10 @@ weaving bodies into encrypted payloads, rewriting switch tables -- and
 the paper's resilience argument rests on the result still being a
 well-formed program.  This module plays the Dalvik verifier's role for
 the repro ISA: a forward dataflow pass over a per-pc register-state
-lattice, plus structural checks the dataflow needs to even start.
+lattice, plus structural checks the dataflow needs to even start.  The
+pass runs on the control flow of :mod:`repro.analysis.cfg` (its
+successor relation and worklist solver), fed by the verifier's own
+label scan so a stale ``label_map()`` cache cannot hide itself.
 
 Lattice (per register)::
 
@@ -47,17 +50,12 @@ Listing-3 shape.  Only genuinely broken surgery fails the gate.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.cfg import instruction_successors, solve_forward
 from repro.dex.instructions import Instr
 from repro.dex.model import DexFile, DexMethod
-from repro.dex.opcodes import (
-    BINOPS,
-    CONDITIONAL_BRANCHES,
-    LIT_BINOPS,
-    Op,
-)
+from repro.dex.opcodes import BINOPS, LIT_BINOPS, UNCONDITIONAL_EXITS, Op
 from repro.lint.diagnostics import Diagnostic, Severity
 
 #: Rule catalog: id -> (default severity, one-line description).
@@ -239,28 +237,6 @@ class _MethodVerifier:
 
     # -- dataflow pass ------------------------------------------------------
 
-    def _successors(self, pc: int, labels: Dict[str, int]) -> Tuple[int, ...]:
-        instructions = self.method.instructions
-        instr = instructions[pc]
-        op = instr.op
-        out: List[int] = []
-        if op is Op.GOTO:
-            out.append(labels[instr.target])
-        elif op in CONDITIONAL_BRANCHES:
-            out.append(labels[instr.target])
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        elif op is Op.SWITCH:
-            out.extend(labels[t] for t in instr.value.values())
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        elif op in (Op.RETURN, Op.RETURN_VOID, Op.THROW):
-            pass
-        else:
-            if pc + 1 < len(instructions):
-                out.append(pc + 1)
-        return tuple(dict.fromkeys(out))
-
     def _transfer(self, state: RegState, instr: Instr) -> RegState:
         op = instr.op
         if instr.dst is None or op in (Op.APUT,):
@@ -286,48 +262,28 @@ class _MethodVerifier:
     def _run_dataflow(self, labels: Dict[str, int]) -> None:
         method = self.method
         instructions = method.instructions
-        count = len(instructions)
         entry: RegState = tuple(
             RegType.VALUE if reg < method.params else RegType.UNINIT
             for reg in range(method.registers)
         )
-        states: List[Optional[RegState]] = [None] * count
-        states[0] = entry
-        work = deque([0])
-        falls_off_end = False
-        while work:
-            pc = work.popleft()
-            state = states[pc]
-            assert state is not None
-            instr = instructions[pc]
-            after = state if instr.op is Op.LABEL else self._transfer(state, instr)
-            successors = self._successors(pc, labels)
-            # Every op except the explicit exits and GOTO has an implicit
-            # fall-through edge; at the last pc that edge runs off the
-            # end even when the op also has branch targets (a trailing
-            # IF_* or SWITCH still falls through on the no-match path).
-            if pc + 1 >= count and instr.op not in (
-                Op.GOTO, Op.RETURN, Op.RETURN_VOID, Op.THROW
-            ):
-                falls_off_end = True
-            for successor in successors:
-                merged = (
-                    after
-                    if states[successor] is None
-                    else _join_states(states[successor], after)
-                )
-                if merged != states[successor]:
-                    states[successor] = merged
-                    work.append(successor)
-
+        states = solve_forward(
+            instructions,
+            instruction_successors(instructions, labels),
+            entry,
+            self._transfer,
+            _join_states,
+        )
         self._report_reads(states)
         self._report_unreachable(states)
-        if falls_off_end:
+        # A reachable last instruction that is no unconditional exit
+        # runs off the end: a trailing IF_* or SWITCH still falls
+        # through on the no-match path.
+        if states[-1] is not None and instructions[-1].op not in UNCONDITIONAL_EXITS:
             self.emit(
                 "fall-off-end",
                 "control can run past the last instruction "
                 "(implicit return_void is almost always a weaving bug)",
-                count - 1,
+                len(instructions) - 1,
             )
 
     def _report_reads(self, states: List[Optional[RegState]]) -> None:

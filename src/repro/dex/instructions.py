@@ -71,6 +71,14 @@ class Instr:
             return (self.dst,)
         return ()
 
+    def branch_labels(self) -> Tuple[str, ...]:
+        """Label names this instruction names as jump targets:
+        ``target`` plus a SWITCH's table values."""
+        labels = () if self.target is None else (self.target,)
+        if self.op is Op.SWITCH:
+            labels += tuple(self.value.values())
+        return labels
+
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         from repro.dex.disassembler import format_instr
 

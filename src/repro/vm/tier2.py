@@ -101,13 +101,9 @@ _WRAP = "v - 0x100000000 if v > 0x7FFFFFFF else v"
 
 def _blocks(instrs, labels) -> List[List[int]]:
     """Real-instruction pcs, split into blocks (see module docstring)."""
-    targets = set()
-    for ins in instrs:
-        if ins.target is not None:
-            targets.add(ins.target)
-        elif ins.op is Op.SWITCH:
-            targets.update(ins.value.values())
-    leaders = {labels[name] for name in targets if name in labels}
+    leaders = {
+        labels[name] for ins in instrs for name in ins.branch_labels() if name in labels
+    }
     blocks: List[List[int]] = []
     current: List[int] = []
     for pc, ins in enumerate(instrs):

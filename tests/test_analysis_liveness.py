@@ -2,16 +2,23 @@
 
 import pytest
 
-from repro.analysis.liveness import (
-    instruction_successors,
-    live_registers_for_region,
-    liveness,
-)
+from repro.analysis.cfg import instruction_successors
+from repro.analysis.liveness import live_registers_for_region
+from repro.analysis.liveness import liveness as solve_liveness
 from repro.dex import assemble_method
 
 
 def method_of(body: str, params: int = 1):
     return assemble_method(body, class_name="A", name="m", params=params)
+
+
+def successors_of(method):
+    return instruction_successors(method.instructions, method.label_map())
+
+
+def liveness(method):
+    """``(live_in, live_out)`` of ``method``."""
+    return solve_liveness(method.instructions, successors_of(method))
 
 
 class TestLiveness:
@@ -64,7 +71,7 @@ class TestLiveness:
         method = method_of(
             "switch r0, {1 -> @a}\nreturn_void\n@a:\nreturn_void"
         )
-        successors = instruction_successors(method)
+        successors = successors_of(method)
         assert set(successors[0]) == {method.resolve("a"), 1}
 
     def test_switch_fans_out_to_every_case(self):
@@ -82,7 +89,7 @@ class TestLiveness:
             return_void
             """
         )
-        successors = instruction_successors(method)
+        successors = successors_of(method)
         expected = {method.resolve(name) for name in ("a", "b", "c")} | {1}
         assert set(successors[0]) == expected
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 from repro.analysis.triggers import (
     HsoFinding,
     PredicateKind,
@@ -15,7 +17,10 @@ from repro.analysis.triggers import (
     compute_summaries,
     guard_entropy_bits,
 )
-from repro.dex import DexClass, DexFile, assemble_method
+from repro.dex import DexClass, DexFile, assemble_method, instructions as ins
+from repro.dex.instructions import Instr
+from repro.dex.model import DexMethod
+from repro.dex.opcodes import Op
 
 DIGEST = "ab12cd34ef56ab12cd34ef56ab12cd34ef56ab12"
 
@@ -348,6 +353,22 @@ class TestScoring:
         assert isinstance(scan, TriggerScan)
         assert scan.methods_scanned == 1
         assert scan.by_kind() == {}
+
+    @pytest.mark.parametrize("bad", [
+        ins.if_eqz(0, "nowhere"),
+        # A serialized dex may carry any constant as a switch table.
+        Instr(Op.SWITCH, a=0, value=5),
+    ], ids=["undefined-label", "switch-table-no-dict"])
+    def test_malformed_control_flow_skips_only_that_method(self, bad):
+        # Broken control flow is the verifier's problem: the scan skips
+        # that method and still scans the good one.
+        broken = DexMethod(
+            name="bad", class_name="A", params=1, registers=1,
+            instructions=[bad, ins.ret_void()],
+        )
+        scan = analyze_dex(dex_of(method_of("return r0"), broken))
+        assert scan.methods_scanned == 2
+        assert scan.methods_skipped == 1
 
     def test_finding_serialization_roundtrip(self):
         body = """

@@ -5,10 +5,14 @@ over the summaries of their callee closure, and both dataflow joins
 take identity shortcuts.  This oracle keeps the plain form of each:
 every method of the dex is summarised and scanned, findings outside a
 host are thrown away afterwards, and the joins build one fresh value
-per register.  Test-only: it is several times slower than the gate.
+per register.  It also keeps a FIFO form of the shared forward
+worklist solver (:func:`fifo_solver`), which the verifier ran before
+it moved to :func:`repro.analysis.cfg.solve_forward`.  Test-only: it
+is several times slower than the gate.
 """
 
 import contextlib
+from collections import deque
 from typing import Dict, List
 from unittest import mock
 
@@ -25,7 +29,7 @@ from repro.analysis.triggers import (
 )
 from repro.analysis.verifier import _join, verify_dex
 from repro.dex.opcodes import Op
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, DexError
 from repro.lint.diagnostics import Diagnostic, Severity
 from repro.lint.engine import LintContext
 from repro.lint.rules import RULES, _HSO_GUARD_WINDOW
@@ -46,6 +50,36 @@ def generator_joins():
     """Run the production walkers with the reference joins."""
     with mock.patch.object(triggers, "_join_state", reference_join_state), \
             mock.patch.object(verifier, "_join_states", reference_join_states):
+        yield
+
+
+def reference_solve_forward(instructions, successors, entry, transfer, join):
+    """:func:`repro.analysis.cfg.solve_forward` with a FIFO worklist."""
+    states = [None] * len(instructions)
+    states[0] = entry
+    work = deque([0])
+    while work:
+        pc = work.popleft()
+        state = states[pc]
+        instr = instructions[pc]
+        after = state if instr.op is Op.LABEL else transfer(state, instr)
+        for successor in successors[pc]:
+            merged = (
+                after
+                if states[successor] is None
+                else join(states[successor], after)
+            )
+            if merged != states[successor]:
+                states[successor] = merged
+                work.append(successor)
+    return states
+
+
+@contextlib.contextmanager
+def fifo_solver():
+    """Run the verifier and the HSO walker on the FIFO reference solver."""
+    with mock.patch.object(triggers, "solve_forward", reference_solve_forward), \
+            mock.patch.object(verifier, "solve_forward", reference_solve_forward):
         yield
 
 
@@ -91,7 +125,7 @@ def reference_summaries(dex) -> Dict[str, MethodSummary]:
                 walker = _TaintWalker(method, summaries)
                 walker.run()
                 tags = walker.return_tags()
-            except (AnalysisError, KeyError, IndexError):
+            except (AnalysisError, DexError, IndexError):
                 continue
             if tags - summaries[name].return_tags:
                 summaries[name].return_tags |= tags
@@ -109,7 +143,7 @@ def reference_analyze_dex(dex, min_score: float = 2.0) -> TriggerScan:
         scan.methods_scanned += 1
         try:
             findings, opaque, classified = analyze_method(method, summaries)
-        except (AnalysisError, KeyError, IndexError):
+        except (AnalysisError, DexError, IndexError):
             scan.methods_skipped += 1
             continue
         scan.branches_classified += classified
