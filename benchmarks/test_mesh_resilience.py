@@ -65,7 +65,7 @@ def _cost(apk, seed: int) -> int:
         pass
     for event in DynodroidGenerator(apk.dex(), seed=seed).stream(COST_EVENTS):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     return runtime.cost_units

@@ -34,7 +34,7 @@ def _run_session(apk, seed: int, containment=None) -> Runtime:
         pass
     for event in DynodroidGenerator(apk.dex(), seed=seed).stream(EVENTS):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     return runtime

@@ -92,8 +92,8 @@ def main() -> None:
     # And it still works.
     runtime = Runtime(protected.dex(), package=protected.install_view(), seed=1)
     runtime.boot()
-    runtime.dispatch(Event(EventKind.TEXT, "Vault", ("0451",)))
-    runtime.dispatch(Event(EventKind.MENU, "Vault", (7,)))
+    runtime.session().dispatch(Event(EventKind.TEXT, "Vault", ("0451",)))
+    runtime.session().dispatch(Event(EventKind.MENU, "Vault", (7,)))
     print(f"balance after PIN + withdraw: {runtime.statics['Vault.balance']} (expect 900)")
 
 

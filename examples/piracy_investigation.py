@@ -78,7 +78,7 @@ def main() -> None:
             pass
         for event in DynodroidGenerator(pirated.dex(), seed=index).stream(700):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError:
                 pass
         # Crashes and warnings make for a one-star review.

@@ -38,7 +38,7 @@ def main() -> None:
     runtime = Runtime(protected.dex(), package=protected.install_view(), seed=7)
     runtime.boot()
     for event in DynodroidGenerator(protected.dex(), seed=7).stream(500):
-        runtime.dispatch(event)
+        runtime.session().dispatch(event)
     print(f"genuine install: {len(runtime.detections)} detections "
           f"(must be 0), app state intact")
 
@@ -65,7 +65,7 @@ def main() -> None:
             pass
         for event in DynodroidGenerator(pirated.dex(), seed=index).stream(600):
             try:
-                user_runtime.dispatch(event)
+                user_runtime.session().dispatch(event)
             except VMError:
                 pass  # crash responses look like instability to the pirate's "customers"
         if user_runtime.detections:

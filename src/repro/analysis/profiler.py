@@ -49,7 +49,7 @@ def profile_hot_methods(
     try:
         for event in events:
             try:
-                runtime.dispatch(event, budget=event_budget)
+                runtime.session(event_budget).dispatch(event)
             except VMError:
                 pass
             played += 1

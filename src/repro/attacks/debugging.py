@@ -55,7 +55,7 @@ class DebuggerAttack:
         debugger = Debugger().watch_api(*_IDENTITY_APIS)
         runtime = Runtime(
             dex, device=device, package=apk.install_view(),
-            seed=self._seed, tracer=debugger,
+            seed=self._seed, tracers=[debugger],
         )
         try:
             runtime.boot()
@@ -67,7 +67,7 @@ class DebuggerAttack:
         while runtime.device.clock - start < self._session_seconds:
             event = next(iterator)
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError:
                 pass
 

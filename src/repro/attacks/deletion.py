@@ -45,6 +45,7 @@ from repro.errors import VMError
 from repro.fuzzing.generators import DynodroidGenerator
 from repro.vm.device import DevicePopulation
 from repro.vm.runtime import Runtime
+from repro.vm.sessions import SessionEngine
 
 
 def differential_test(
@@ -75,11 +76,11 @@ def differential_test(
     for event in generator.stream(events):
         crash_a = crash_b = False
         try:
-            runtime_a.dispatch(event)
+            runtime_a.session().dispatch(event)
         except VMError:
             crash_a = True
         try:
-            runtime_b.dispatch(event)
+            runtime_b.session().dispatch(event)
         except VMError:
             crash_b = True
         if crash_b and not crash_a:
@@ -220,27 +221,13 @@ class AdaptiveStripperAttack:
     def _residual_activity(self, stripped: Apk) -> Tuple[int, int]:
         """Fuzz the repackaged app; count surviving detection firings
         and mesh-guard trips across attacker test sessions."""
+        engine = SessionEngine(stripped, events=self._detection_events)
         detections = 0
         mesh_trips = 0
         for session in range(self._sessions):
-            seed = self._seed + 100 + session
-            runtime = Runtime(
-                stripped.dex(),
-                device=DevicePopulation(seed=seed).sample(),
-                package=stripped.install_view(),
-                seed=seed,
+            outcome = engine.play_one(self._seed + 100 + session)
+            detections += len(outcome.detections)
+            mesh_trips += sum(
+                kinds.get("mesh_tripped", 0) for kinds in outcome.bomb_counts.values()
             )
-            try:
-                runtime.boot()
-            except VMError:
-                pass
-            for event in DynodroidGenerator(stripped.dex(), seed=seed).stream(
-                self._detection_events
-            ):
-                try:
-                    runtime.dispatch(event)
-                except VMError:
-                    pass
-            detections += len(runtime.detections)
-            mesh_trips += runtime.bombs.count("mesh_tripped")
         return detections, mesh_trips

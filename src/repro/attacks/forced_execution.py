@@ -120,7 +120,7 @@ class ForcedExecutionAttack:
         tracer = CountingTracer()
         runtime = Runtime(
             dex, device=device.copy(), package=apk.install_view(),
-            seed=self._seed, tracer=tracer,
+            seed=self._seed, tracers=[tracer],
         )
         try:
             runtime.boot()
@@ -129,7 +129,7 @@ class ForcedExecutionAttack:
         args = random_args(kind, rng)
         outcome = "ok"
         try:
-            runtime.invoke(method.qualified_name, list(args), budget=300_000)
+            runtime.session(300_000).invoke(method.qualified_name, args)
         except VMError as exc:
             outcome = (
                 "payload_decrypt_failed"

@@ -57,7 +57,7 @@ def log_reflection_targets(apk: Apk, events: int = 400, seed: int = 0) -> List[s
     generator = DynodroidGenerator(apk.dex(), seed=seed + 1)
     for event in generator.stream(events):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     return sorted(set(runtime.reflection_log))
@@ -159,7 +159,7 @@ class InstrumentationAttack:
         generator = DynodroidGenerator(apk.dex(), seed=self._seed + 2)
         for event in generator.stream(events):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError as exc:
                 if "SSN" in str(exc):
                     return True

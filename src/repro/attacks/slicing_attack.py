@@ -66,12 +66,12 @@ class SlicingAttack:
             tracer = CountingTracer()
             runtime = Runtime(
                 run_dex, device=device.copy(), package=apk.install_view(),
-                seed=self._seed, tracer=tracer,
+                seed=self._seed, tracers=[tracer],
             )
             args = [rng.randrange(1000) if i % 2 == 0 else "probe" for i in range(slice_method.params)]
             site = f"{method.qualified_name}@{pc}"
             try:
-                runtime.invoke(slice_method.qualified_name, args, budget=200_000)
+                runtime.session(200_000).invoke(slice_method.qualified_name, args)
             except VMError:
                 failures += 1
                 continue

@@ -86,11 +86,6 @@ class EqExpr(SymExpr):
 
 
 @dataclass(frozen=True)
-class NotExpr(SymExpr):
-    operand: SymExpr
-
-
-@dataclass(frozen=True)
 class Constraint:
     """``left <relation> right`` with relation in eq/ne/lt/ge/gt/le."""
 

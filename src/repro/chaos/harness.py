@@ -257,7 +257,7 @@ class ChaosRunner:
         runtime = fresh(None)
         for event in self.events:
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except ReproError as exc:
                 result.errors.append(type(exc).__name__)
                 result.absorb(runtime)

@@ -299,31 +299,18 @@ def _cmd_repackage(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    from repro.fuzzing import DynodroidGenerator
-    from repro.vm import DevicePopulation, Runtime
+    from repro.vm import DevicePopulation, SessionEngine
 
-    apk = load_apk(getattr(args, "in"))
+    engine = SessionEngine(load_apk(getattr(args, "in")), events=args.events)
     population = DevicePopulation(seed=args.seed)
     detected = 0
     for index in range(args.devices):
-        runtime = Runtime(
-            apk.dex(), device=population.sample(),
-            package=apk.install_view(), seed=index,
-        )
-        try:
-            runtime.boot()
-        except VMError:
-            pass
-        for event in DynodroidGenerator(apk.dex(), seed=index).stream(args.events):
-            try:
-                runtime.dispatch(event)
-            except VMError:
-                pass
-        marker = "DETECTED" if runtime.detections else "quiet"
+        outcome = engine.play_one(index, device=population.sample())
+        evaluated = sum("evaluated" in kinds for kinds in outcome.bomb_counts.values())
+        marker = "DETECTED" if outcome.detections else "quiet"
         print(f"device {index}: {marker}  "
-              f"(bombs evaluated: {len(runtime.bombs.bombs_with('evaluated'))}, "
-              f"reports: {len(runtime.reports)})")
-        detected += bool(runtime.detections)
+              f"(bombs evaluated: {evaluated}, reports: {len(outcome.reports)})")
+        detected += bool(outcome.detections)
     print(f"\nrepackaging detected on {detected}/{args.devices} devices")
     return 0
 

@@ -104,7 +104,7 @@ class FuzzSession:
             event = next(iterator)
             before_cov = len(self._coverage.visited)
             try:
-                runtime.dispatch(event, budget=self._event_budget)
+                runtime.session(self._event_budget).dispatch(event)
                 self._result.events_played += 1
             except MethodNotFound:
                 # Blind injection (Monkey) on a class with no handler.

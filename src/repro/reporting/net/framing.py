@@ -33,11 +33,12 @@ Two smaller codecs share the module:
 
 from __future__ import annotations
 
+import socket
 import struct
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.errors import WireError
+from repro.errors import TransportError, WireError
 from repro.reporting.server import SubmitStatus
 from repro.reporting.wire import WIRE_MAGIC
 
@@ -136,6 +137,18 @@ _STATUS_TO_BYTE = {
     SubmitStatus.NOT_LEADER: 0x08,
 }
 _BYTE_TO_STATUS = {value: status for status, value in _STATUS_TO_BYTE.items()}
+
+
+def recv_exact(sock: socket.socket, count: int) -> bytes:
+    """Read exactly ``count`` bytes from a blocking socket; a peer that
+    closes first raises :class:`~repro.errors.TransportError`."""
+    chunks = bytearray()
+    while len(chunks) < count:
+        data = sock.recv(count - len(chunks))
+        if not data:
+            raise TransportError("peer closed mid-response")
+        chunks.extend(data)
+    return bytes(chunks)
 
 
 def encode_status(status: SubmitStatus) -> bytes:

@@ -61,6 +61,7 @@ from repro.reporting.net.framing import (
     decode_health,
     encode_fence,
     format_endpoint,
+    recv_exact,
 )
 from repro.reporting.net.replication import ReplicaFollower
 from repro.reporting.net.service import ServiceHandle
@@ -84,16 +85,6 @@ MISS_THRESHOLD = 3
 FENCE_ATTEMPTS = 25
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = bytearray()
-    while len(chunks) < count:
-        data = sock.recv(count - len(chunks))
-        if not data:
-            raise TransportError("peer closed mid-response")
-        chunks.extend(data)
-    return bytes(chunks)
-
-
 def probe_health(
     endpoint: Tuple[str, int], timeout: float = 2.0
 ) -> HealthStatus:
@@ -107,8 +98,8 @@ def probe_health(
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.settimeout(timeout)
         sock.sendall(HEALTH_MAGIC)
-        (length,) = struct.unpack(">H", _recv_exact(sock, 2))
-        payload = _recv_exact(sock, length)
+        (length,) = struct.unpack(">H", recv_exact(sock, 2))
+        payload = recv_exact(sock, length)
     return decode_health(payload)
 
 
@@ -128,7 +119,7 @@ def send_fence(
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.settimeout(timeout)
         sock.sendall(FENCE_MAGIC + encode_fence(epoch, new_endpoint))
-        answer = _recv_exact(sock, 1)
+        answer = recv_exact(sock, 1)
     return answer == b"\x01"
 
 

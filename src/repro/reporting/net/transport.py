@@ -45,7 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.faults import fault_point
 from repro.errors import FaultInjected, TransportError, WireError
-from repro.reporting.net.framing import decode_redirect, decode_status
+from repro.reporting.net.framing import decode_redirect, decode_status, recv_exact
 from repro.reporting.server import SubmitStatus
 from repro.reporting.wire import SignedReport, encode_report
 
@@ -215,25 +215,17 @@ class TcpTransport:
         if status is not SubmitStatus.NOT_LEADER:
             return status, None
         # A NOT_LEADER byte is followed by its redirect payload.
-        header = self._recv_exact(sock, _REDIRECT_HEADER)
-        endpoint_len = int.from_bytes(header[8:10], "big")
-        payload = header + self._recv_exact(sock, endpoint_len)
         try:
-            epoch, endpoint = decode_redirect(payload)
+            header = recv_exact(sock, _REDIRECT_HEADER)
+            endpoint_len = int.from_bytes(header[8:10], "big")
+            epoch, endpoint = decode_redirect(header + recv_exact(sock, endpoint_len))
+        except TransportError:
+            self.close()
+            raise
         except WireError as exc:
             self.close()
             raise TransportError(str(exc)) from exc
         return status, (epoch, endpoint)
-
-    def _recv_exact(self, sock: socket.socket, count: int) -> bytes:
-        chunks = bytearray()
-        while len(chunks) < count:
-            data = sock.recv(count - len(chunks))
-            if not data:
-                self.close()
-                raise TransportError("server closed mid-redirect")
-            chunks.extend(data)
-        return bytes(chunks)
 
     def _follow_redirect(self, redirect: Optional[Tuple[int, str]]) -> None:
         """Re-point at the endpoint a NOT_LEADER answer named."""

@@ -55,7 +55,7 @@ class PlaySession:
         while runtime.device.clock - start < timeout_seconds:
             event = next(iterator)
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except MethodNotFound:
                 runtime.device.advance(Event.DURATION)
             except VMError:

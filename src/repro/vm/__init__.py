@@ -13,10 +13,11 @@ Components:
                  interpreter
 ``tier2``        warm methods compiled to one Python function each
 ``interpreter``  the bytecode interpreter with tracing hooks
-``sessions``     ExecutionContext/SessionResult (the session API) and
-                 the batched real-play-session engine
+``sessions``     ExecutionContext/SessionResult (``Runtime.session``, the
+                 only way to run code) and the batched real-play-session
+                 engine
 ``runtime``      class loading (including dynamic loading of decrypted
-                 bomb payloads), static state, app installation
+                 bomb payloads), static state, app installation, boot
 ``containment``  graceful degradation for bomb-infrastructure failures
                  (ContainmentPolicy, per-bomb circuit breaker)
 """

@@ -11,7 +11,7 @@ as one generated Python function instead (:mod:`repro.vm.tier2`).  With:
 * pluggable tracers -- the profiler (Traceview stand-in), coverage
   measurement for fuzzers, and the debugging attack all observe
   execution through the same hook, registered via
-  ``Runtime.add_tracer`` / the ``tracers=`` session parameter;
+  ``Runtime(tracers=[...])`` or ``Runtime.add_tracer``;
 * a *cost model*: every instruction costs 1 unit and framework calls
   cost their published weight, giving a deterministic execution-time
   metric for the Table 5 overhead experiment.
@@ -102,7 +102,7 @@ class CoverageTracer(Tracer):
 class CompositeTracer(Tracer):
     """Fans every hook out to child tracers, in registration order.
 
-    ``Runtime.tracer`` returns one of these when more than one tracer
+    ``Runtime.tracer`` holds one of these when more than one tracer
     is registered, so the interpreter's single-tracer fast path is
     preserved no matter how many observers attach.
     """

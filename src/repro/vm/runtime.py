@@ -22,13 +22,12 @@ from repro.chaos.faults import fault_point
 from repro.crypto import sha1
 from repro.dex.model import DexFile, DexMethod
 from repro.dex.serializer import deserialize_dex
-from repro.errors import DexError, DexFormatError, MethodNotFound, VMCrash
+from repro.errors import DexError, DexFormatError, VMCrash
 from repro.vm.containment import CircuitBreaker, ContainmentPolicy
 from repro.vm.device import DeviceProfile, DevicePopulation
-from repro.vm.events import Event, handler_name_for
 from repro.vm.framework import Framework
 from repro.vm.interpreter import CompositeTracer, Interpreter
-from repro.vm.sessions import ExecutionContext, _UNSET
+from repro.vm.sessions import ExecutionContext
 from repro.vm.values import Instance
 
 
@@ -118,7 +117,6 @@ class Runtime:
         package: InstalledPackage = None,
         seed: int = 0,
         default_budget: int = 2_000_000,
-        tracer=None,
         report_client=None,
         containment: Optional[ContainmentPolicy] = None,
         tracers=(),
@@ -127,15 +125,13 @@ class Runtime:
         self.package = package
         self.rng = random.Random(seed)
         self.default_budget = default_budget
-        #: Registered tracers, all observing through one effective hook
-        #: (None / the single tracer / a CompositeTracer) so the
-        #: interpreter keeps its single-attribute fast path.
+        #: Registered tracers, all observing through one effective hook,
+        #: :attr:`tracer` (None / the single tracer / a CompositeTracer),
+        #: so the interpreter keeps its single-attribute fast path.
         self._tracers: List = []
-        self._effective_tracer = None
-        if tracer is not None:
+        self.tracer = None
+        for tracer in tracers:
             self.add_tracer(tracer)
-        for extra in tracers:
-            self.add_tracer(extra)
         #: Optional repro.reporting.ReportClient; when set, REPORT
         #: responses flow through the signed wire channel as well as the
         #: local `reports` list the evaluation harness reads.
@@ -183,19 +179,6 @@ class Runtime:
     # -- tracers --------------------------------------------------------------
 
     @property
-    def tracer(self):
-        """The effective tracer the interpreter observes through:
-        None, the single registered tracer, or a CompositeTracer."""
-        return self._effective_tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        # Compatibility with save/swap/restore call sites: assigning
-        # replaces the whole registration set.
-        self._tracers = [] if value is None else [value]
-        self._rebuild_tracer()
-
-    @property
     def tracers(self) -> tuple:
         return tuple(self._tracers)
 
@@ -210,11 +193,11 @@ class Runtime:
     def _rebuild_tracer(self) -> None:
         ts = self._tracers
         if not ts:
-            self._effective_tracer = None
+            self.tracer = None
         elif len(ts) == 1:
-            self._effective_tracer = ts[0]
+            self.tracer = ts[0]
         else:
-            self._effective_tracer = CompositeTracer(ts)
+            self.tracer = CompositeTracer(ts)
 
     # -- class loading --------------------------------------------------------
 
@@ -332,43 +315,16 @@ class Runtime:
 
     # -- execution ----------------------------------------------------------------
 
-    def session(
-        self, budget: Optional[int] = None, tracers=(), policy=_UNSET
-    ) -> ExecutionContext:
-        """Open an execution session: one budget, optional extra tracers,
-        optional containment-policy override.  The session-API entry
-        point -- use ``ctx.invoke(...)`` / ``ctx.dispatch(...)`` /
-        ``ctx.run(...)`` for measured calls returning
-        :class:`~repro.vm.sessions.SessionResult`."""
-        return ExecutionContext(self, budget=budget, tracers=tracers, policy=policy)
+    def session(self, budget: Optional[int] = None) -> ExecutionContext:
+        """Open an execution session with one budget (default:
+        ``default_budget``).  The only way to run code: use
+        ``ctx.invoke(...)`` / ``ctx.dispatch(...)`` / ``ctx.run(...)``,
+        each returning a :class:`~repro.vm.sessions.SessionResult`."""
+        return ExecutionContext(self, budget)
 
-    def invoke(self, qualified_name: str, args: List = (), budget: int = None):
-        """Invoke a method by name (test/fuzzer entry point)."""
-        method = self.find_method(qualified_name)
-        if method is None:
-            raise MethodNotFound(qualified_name)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_invoke(qualified_name, list(args))
-        ctx = ExecutionContext(self, budget=budget)
-        return self.interpreter.execute(method, list(args), ctx)
-
-    def boot(self, budget: int = None) -> None:
-        """Run every class's ``main`` entry (app start), if present."""
+    def boot(self, budget: Optional[int] = None) -> None:
+        """Run every class's zero-arg ``main`` entry (app start), each
+        under its own ``budget``."""
         for name in sorted(self._methods):
             if name.endswith(".main") and self._methods[name].params == 0:
-                self.invoke(name, (), budget=budget)
-
-    def dispatch(self, event: Event, budget: int = None):
-        """Deliver one UI event to its handler and advance the clock.
-
-        Crashes propagate to the caller (the fuzzer harness decides
-        whether to restart the app), but time advances either way.
-        """
-        handler = f"{event.target_class}.{handler_name_for(event.kind)}"
-        method = self.find_method(handler)
-        if method is None:
-            raise MethodNotFound(handler)
-        fault_point("vm.clock", device=self.device)
-        self.device.advance(Event.DURATION)
-        return self.invoke(handler, list(event.args), budget=budget)
+                self.session(budget).invoke(name)

@@ -1,30 +1,24 @@
-"""First-class execution sessions and the batched play-session engine.
-
-Historically every execution entry point threaded a *mutable budget
-list* (``budget: List[int]``) through the interpreter, the framework
-and back -- an implementation detail promoted to an API.  This module
-replaces that plumbing:
+"""Execution sessions and the batched play-session engine.
 
 :class:`ExecutionContext`
-    One execution scope: a budget, optional extra tracers, an optional
-    containment-policy override.  Created by ``Runtime.session(...)``.
-    Works as a context manager (tracers/policy attach on entry, detach
-    on exit) and offers measured entry points -- :meth:`invoke`,
-    :meth:`run`, :meth:`dispatch` -- that return a
-    :class:`SessionResult` instead of a bare value.
+    One execution scope: a budget cell shared by every frame it runs
+    (nested calls and payload sub-budgets charge the same counter).
+    Created by ``Runtime.session(budget)``, the only way to run code:
+    :meth:`~ExecutionContext.run`, :meth:`~ExecutionContext.invoke` and
+    :meth:`~ExecutionContext.dispatch` each return a
+    :class:`SessionResult`.
 
 :class:`SessionResult`
-    Return value plus the things callers previously re-derived by
-    diffing runtime state: instructions consumed, cost units, budget
-    remaining, and the bomb-registry events ("trips") recorded during
-    the call.
+    Return value plus what the call did: instructions consumed, cost
+    units, budget remaining, and the bomb-registry events ("trips")
+    recorded during the call.
 
 :class:`SessionEngine`
     Batched *real* play sessions -- boot, event stream, crash handling
     -- replicating the exact per-session protocol of
     ``OutcomeModel.calibrate`` (same seeds, same device draws, same
-    budgets) so fleet calibration and opt-in real-session fleets share
-    one engine instead of each reimplementing the loop.
+    budgets) so calibration, real-session fleets, ``repro simulate`` and
+    the adaptive stripper's residual check share one engine.
 """
 
 from __future__ import annotations
@@ -34,11 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.faults import fault_point
 from repro.errors import MethodNotFound, VMError
-from repro.vm.events import Event, handler_name_for
-
-#: Distinguishes "no policy override" from "override with None"
-#: (= legacy crash-through semantics) in ExecutionContext.
-_UNSET = object()
+from repro.vm.events import Event
 
 
 @dataclass(frozen=True)
@@ -56,37 +46,21 @@ class SessionResult:
 
 
 class ExecutionContext:
-    """One execution scope: budget cell + tracers + policy override.
+    """One execution scope: a budget cell and the measured calls.
 
-    The budget is still a shared mutable cell under the hood (nested
-    frames and payload sub-budgets charge the same counter, exactly as
-    before) but callers never see the list -- they read
-    :attr:`consumed` / :attr:`remaining` and get per-call numbers from
-    :class:`SessionResult`.
-
-    Entering the context (``with`` or any measured call) registers the
-    context's tracers with the runtime and, when a ``policy`` override
-    was given, swaps the runtime's containment policy and gives it a
-    fresh circuit breaker; exiting restores both.  Entry is reentrant,
-    so nesting measured calls inside a ``with`` block attaches once.
+    The budget is a shared mutable cell (nested frames and payload
+    sub-budgets charge the same counter), but callers never see it:
+    they read :attr:`consumed` / :attr:`remaining` and get per-call
+    numbers from :class:`SessionResult`.
     """
 
-    __slots__ = (
-        "runtime", "budget", "_initial", "_tracers", "_policy",
-        "_entered", "_saved",
-    )
+    __slots__ = ("runtime", "budget", "_initial")
 
-    def __init__(self, runtime, budget: Optional[int] = None, tracers=(), policy=_UNSET):
+    def __init__(self, runtime, budget: Optional[int] = None):
         self.runtime = runtime
         cell = [budget if budget is not None else runtime.default_budget]
         self.budget = cell
         self._initial = cell[0]
-        self._tracers = tuple(tracers)
-        self._policy = policy
-        self._entered = 0
-        self._saved = None
-
-    # -- budget accounting ------------------------------------------------
 
     @property
     def consumed(self) -> int:
@@ -102,100 +76,50 @@ class ExecutionContext:
     def remaining(self) -> int:
         return max(self.budget[0], 0)
 
-    # -- attach / detach --------------------------------------------------
-
-    def __enter__(self) -> "ExecutionContext":
-        if self._entered == 0:
-            self._attach()
-        self._entered += 1
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self._entered -= 1
-        if self._entered == 0:
-            self._detach()
-        return False
-
-    def _attach(self) -> None:
+    def _execute(self, method, args, name: Optional[str] = None) -> SessionResult:
+        """Run ``method`` under this budget; a ``name`` is reported to
+        the tracer as an invocation first."""
         runtime = self.runtime
-        for tracer in self._tracers:
-            runtime.add_tracer(tracer)
-        if self._policy is not _UNSET:
-            from repro.vm.containment import CircuitBreaker
-
-            policy = self._policy
-            self._saved = (runtime.containment, runtime.breaker)
-            runtime.containment = policy
-            runtime.breaker = CircuitBreaker(
-                policy.max_consecutive_failures if policy else 0
-            )
-
-    def _detach(self) -> None:
-        runtime = self.runtime
-        for tracer in self._tracers:
-            runtime.remove_tracer(tracer)
-        if self._saved is not None:
-            runtime.containment, runtime.breaker = self._saved
-            self._saved = None
-
-    # -- measured entry points --------------------------------------------
-
-    def _measure(self, fn) -> SessionResult:
-        runtime = self.runtime
-        with self:
-            cost_before = runtime.cost_units
-            consumed_before = self.consumed
-            events_before = len(runtime.bombs.events)
-            value = fn()
-            return SessionResult(
-                value=value,
-                instructions=self.consumed - consumed_before,
-                cost=runtime.cost_units - cost_before,
-                remaining=self.remaining,
-                trips=tuple(runtime.bombs.events[events_before:]),
-            )
+        cost_before = runtime.cost_units
+        consumed_before = self.consumed
+        events_before = len(runtime.bombs.events)
+        if name is not None and runtime.tracer is not None:
+            runtime.tracer.on_invoke(name, list(args))
+        value = runtime.interpreter.execute(method, list(args), self)
+        return SessionResult(
+            value=value,
+            instructions=self.consumed - consumed_before,
+            cost=runtime.cost_units - cost_before,
+            remaining=self.remaining,
+            trips=tuple(runtime.bombs.events[events_before:]),
+        )
 
     def run(self, method, args=()) -> SessionResult:
         """Execute a :class:`DexMethod` under this context's budget."""
-        runtime = self.runtime
-        return self._measure(
-            lambda: runtime.interpreter.execute(method, list(args), self)
-        )
+        return self._execute(method, args)
 
     def invoke(self, qualified_name: str, args=()) -> SessionResult:
-        """Invoke a loaded method by name (the session-API entry point)."""
-        runtime = self.runtime
-        method = runtime.find_method(qualified_name)
+        """Invoke a loaded method by name."""
+        method = self.runtime.find_method(qualified_name)
         if method is None:
             raise MethodNotFound(qualified_name)
-
-        def go():
-            tracer = runtime.tracer
-            if tracer is not None:
-                tracer.on_invoke(qualified_name, list(args))
-            return runtime.interpreter.execute(method, list(args), self)
-
-        return self._measure(go)
+        return self._execute(method, args, qualified_name)
 
     def dispatch(self, event: Event) -> SessionResult:
-        """Deliver one UI event to its handler, advancing the clock."""
+        """Deliver one UI event to its handler, advancing the clock.
+
+        A handlerless event raises :class:`MethodNotFound` before the
+        clock moves; once the handler runs, a crash propagates to the
+        caller but the clock has advanced either way.
+        """
         runtime = self.runtime
-        handler = f"{event.target_class}.{handler_name_for(event.kind)}"
-        if runtime.find_method(handler) is None:
+        handler = event.handler
+        method = runtime.find_method(handler)
+        if method is None:
             raise MethodNotFound(handler)
         fault_point("vm.clock", device=runtime.device)
         runtime.device.advance(Event.DURATION)
-        return self.invoke(handler, list(event.args))
-
-    def boot(self) -> List[SessionResult]:
-        """Run every class's zero-arg ``main`` entry (app start)."""
-        runtime = self.runtime
-        results = []
-        with self:
-            for name in sorted(runtime._methods):
-                if name.endswith(".main") and runtime._methods[name].params == 0:
-                    results.append(self.invoke(name))
-        return results
+        return self._execute(method, event.args, handler)
 
 
 # ---------------------------------------------------------------------------

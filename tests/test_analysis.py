@@ -301,7 +301,7 @@ class TestSlicing:
         cls.add_method(slice_method)
         runtime = Runtime(dex)
         # The slice still computes the criterion's inputs.
-        runtime.invoke(slice_method.qualified_name, [])
+        runtime.session().invoke(slice_method.qualified_name, [])
 
     def test_criterion_out_of_range(self):
         with pytest.raises(IndexError):

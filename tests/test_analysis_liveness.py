@@ -241,6 +241,6 @@ class TestRegionPacking:
                 instrumenter.transform_weavable(method, qc, region, None)
             apk = build_apk(dex, Resources(strings={"app_name": "A"}), key)
             runtime = Runtime(dex, package=apk.install_view(), seed=1)
-            return [runtime.invoke("A.m", [value]) for value in (9, 4, 9)]
+            return [runtime.session().invoke("A.m", [value]).value for value in (9, 4, 9)]
 
         assert outcome(False) == outcome(True) == [42, 42, 42]

@@ -59,7 +59,7 @@ def test_untampered_spoofed_run_is_clean(scan_heavy_protection):
     runtime.boot()
     for event in DynodroidGenerator(protected.dex(), seed=6).stream(500):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     assert not runtime.detections

@@ -126,3 +126,11 @@ class TestAttackIntegration:
         # the repackage is not sellable, so the defense holds.
         assert outcome.app_corrupted
         assert not outcome.defeated_defense
+        # Pinned: the residual check's four seed-0 engine sessions.
+        assert outcome.details == {
+            "branches_patched": 6,
+            "state_divergences": 2,
+            "new_crashes": 0,
+            "residual_detections": 0,
+            "residual_mesh_trips": 0,
+        }

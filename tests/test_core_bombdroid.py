@@ -90,11 +90,11 @@ class TestRuntimeBehavior:
         for event in generator.stream(600):
             result_a = result_b = None
             try:
-                result_a = runtime_a.dispatch(event)
+                result_a = runtime_a.session().dispatch(event).value
             except VMError as exc:
                 result_a = f"crash:{type(exc).__name__}"
             try:
-                result_b = runtime_b.dispatch(event)
+                result_b = runtime_b.session().dispatch(event).value
             except VMError as exc:
                 result_b = f"crash:{type(exc).__name__}"
             assert result_a == result_b
@@ -132,7 +132,7 @@ class TestRuntimeBehavior:
         generator = DynodroidGenerator(protected_apk.dex(), seed=6)
         for event in generator.stream(300):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError:
                 pass
         assert runtime.bombs.bombs_with("evaluated")

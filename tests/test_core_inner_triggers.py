@@ -29,7 +29,7 @@ def evaluate_compiled(condition: InnerCondition, device) -> bool:
     cls = dex.add_class(DexClass(name="T"))
     cls.add_method(builder.build())
     runtime = Runtime(dex, device=device)
-    return bool(runtime.invoke("T.m", []))
+    return bool(runtime.session().invoke("T.m", []).value)
 
 
 class TestConstraintMath:

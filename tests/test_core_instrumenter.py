@@ -58,7 +58,7 @@ def dual_run(source, method, inputs, transform):
         for args in inputs:
             runtime = Runtime(dex, package=package, seed=1)
             try:
-                value = runtime.invoke(method, list(args))
+                value = runtime.session().invoke(method, list(args)).value
             except Exception as exc:
                 value = f"crash:{type(exc).__name__}"
             state = {

@@ -232,7 +232,7 @@ def _fuzz(apk, seed, events=500):
         pass
     for event in DynodroidGenerator(apk.dex(), seed=seed).stream(events):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     return runtime

@@ -81,7 +81,7 @@ def test_pipeline_installs_disguised_flag(small_apk, developer_key):
 
     for event in DynodroidGenerator(protected.dex(), seed=1).stream(300):
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
         except VMError:
             pass
     assert not runtime.detections

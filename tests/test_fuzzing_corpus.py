@@ -165,7 +165,7 @@ class TestSession:
         runtime.boot()
         for event in DynodroidGenerator(dex, seed=3).stream(300):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError:
                 pass
         app_pairs = {pair for pair in tracer.visited if pair[0] in own}
@@ -215,7 +215,7 @@ class TestCorpusGenerator:
         runtime = Runtime(bundle.dex, package=bundle.apk.install_view(), seed=1)
         runtime.boot()
         for event in DynodroidGenerator(bundle.dex, seed=1).stream(800):
-            runtime.dispatch(event)  # any crash fails the test
+            runtime.session().dispatch(event)  # any crash fails the test
 
     def test_androfish_has_figure3_fields(self):
         bundle = build_named_app("AndroFish")

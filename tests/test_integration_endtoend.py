@@ -38,7 +38,7 @@ def test_act1_protection_preserves_the_app(story):
     runtime = Runtime(protected.dex(), package=protected.install_view(), seed=2)
     runtime.boot()
     for event in DynodroidGenerator(protected.dex(), seed=2).stream(400):
-        runtime.dispatch(event)
+        runtime.session().dispatch(event)
     assert not runtime.detections
 
 
@@ -102,7 +102,7 @@ def test_act3_users_catch_the_pirate(story):
             pass
         for event in DynodroidGenerator(pirated.dex(), seed=index).stream(1500):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError:
                 pass
         detections += bool(runtime.detections)

@@ -30,7 +30,7 @@ def _play(dex, package, device, events):
         observations.append(("boot", type(exc).__name__))
     for event in events:
         try:
-            runtime.dispatch(event)
+            runtime.session().dispatch(event)
             observations.append("ok")
         except VMError as exc:
             observations.append(type(exc).__name__)

@@ -29,7 +29,7 @@ class TestRepackaging:
         pirated = repackage(small_apk, attacker_key)
         runtime = Runtime(pirated.dex(), package=pirated.install_view(), seed=1)
         for _ in range(60):
-            runtime.dispatch(Event(EventKind.TICK, "AdService", (16,)))
+            runtime.session().dispatch(Event(EventKind.TICK, "AdService", (16,)))
         assert any("adware-exfil" in report for report in runtime.reports)
 
     def test_resign_only_keeps_content(self, small_apk, attacker_key):
@@ -62,7 +62,7 @@ class TestRepackaging:
             generator = DynodroidGenerator(pirated_apk.dex(), seed=index)
             for event in generator.stream(400):
                 try:
-                    runtime.dispatch(event)
+                    runtime.session().dispatch(event)
                 except VMError:
                     pass
             if runtime.detections:
@@ -91,7 +91,7 @@ class TestSSN:
         runtime = Runtime(apk.dex(), package=apk.install_view(), seed=9)
         generator = DynodroidGenerator(apk.dex(), seed=9)
         for event in generator.stream(400):
-            runtime.dispatch(event)  # must never crash
+            runtime.session().dispatch(event)  # must never crash
         assert runtime.detections == []
 
     def test_repackaged_app_eventually_crashes(self, ssn, attacker_key):
@@ -102,7 +102,7 @@ class TestSSN:
         crashed = False
         for event in generator.stream(2000):
             try:
-                runtime.dispatch(event)
+                runtime.session().dispatch(event)
             except VMError as exc:
                 assert "SSN" in str(exc)
                 crashed = True
@@ -122,7 +122,7 @@ class TestNaive:
     def test_genuine_app_unharmed(self, naive):
         apk, _ = naive
         runtime = Runtime(apk.dex(), package=apk.install_view(), seed=9)
-        runtime.dispatch(Event(EventKind.TOUCH, "Game", (5, 5)))
+        runtime.session().dispatch(Event(EventKind.TOUCH, "Game", (5, 5)))
         assert runtime.detections == []
 
     def test_repackaged_app_crashes_when_triggered(self, naive, attacker_key):
@@ -132,7 +132,7 @@ class TestNaive:
         with pytest.raises(VMError, match="naive bomb"):
             # Touch x==5 satisfies the fixture's QC, whose body now
             # carries the cleartext detection.
-            runtime.dispatch(Event(EventKind.TOUCH, "Game", (5, 5)))
+            runtime.session().dispatch(Event(EventKind.TOUCH, "Game", (5, 5)))
 
     def test_detection_visible_in_cleartext(self, naive):
         from repro.dex.disassembler import disassemble

@@ -32,6 +32,7 @@ from repro.reporting import (
     sign_report,
 )
 from repro.reporting.durability import encode_snapshot, snapshot_image
+from repro.reporting.net.framing import recv_exact
 from repro.reporting.net import (
     FENCE_MAGIC,
     HEALTH_MAGIC,
@@ -814,6 +815,44 @@ class TestControlPlaneCodecs:
         assert decode_status(0x08) is SubmitStatus.NOT_LEADER
 
 
+class TestRecvExact:
+    def test_reads_across_chunks_then_raises_on_early_close(self):
+        left, right = socket.socketpair()
+        with left, right:
+            right.sendall(b"abc")
+            right.sendall(b"def")
+            assert recv_exact(left, 4) == b"abcd"
+            right.close()
+            with pytest.raises(TransportError):
+                recv_exact(left, 3)  # only "ef" is left
+
+    def test_transport_closes_on_truncated_redirect(self, attest_key):
+        """A NOT_LEADER byte followed by half a redirect header is a
+        TransportError, and the transport drops its socket first."""
+        signed = make_signed(attest_key, 0)
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(10)
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                recv_exact(conn, len(encode_report(signed)))
+                not_leader = encode_status(SubmitStatus.NOT_LEADER)
+                conn.sendall(not_leader + encode_redirect(2, "127.0.0.1:1")[:5])
+
+        thread = threading.Thread(target=answer)
+        thread.start()
+        transport = TcpTransport(listener.getsockname())
+        try:
+            with pytest.raises(TransportError, match="mid-response"):
+                transport(signed)
+            assert transport._sock is None
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+
+
 class TestMessageReaderWithHeartbeats:
     def heartbeat(self, epoch=1):
         return encode_health(
@@ -874,8 +913,8 @@ class TestControlPlaneDispatch:
                 for byte in HEALTH_MAGIC:
                     sock.sendall(bytes([byte]))
                     time.sleep(0.01)
-                (length,) = struct.unpack(">H", _recv_exact(sock, 2))
-                health = decode_health(_recv_exact(sock, length))
+                (length,) = struct.unpack(">H", recv_exact(sock, 2))
+                health = decode_health(recv_exact(sock, length))
             assert health.role == "leader"
             assert health.epoch == 0
         finally:
@@ -895,8 +934,8 @@ class TestControlPlaneDispatch:
                 sock.settimeout(10)
                 for _ in range(3):
                     sock.sendall(HEALTH_MAGIC)
-                    (length,) = struct.unpack(">H", _recv_exact(sock, 2))
-                    decode_health(_recv_exact(sock, length))
+                    (length,) = struct.unpack(">H", recv_exact(sock, 2))
+                    decode_health(recv_exact(sock, length))
             assert handle.call(
                 lambda s: int(
                     s.metrics.counter("reporting.net.health_probes").value
@@ -914,7 +953,7 @@ class TestControlPlaneDispatch:
                 sock.settimeout(10)
                 for i in range(len(request)):
                     sock.sendall(request[i : i + 1])
-                assert _recv_exact(sock, 1) == b"\x01"
+                assert recv_exact(sock, 1) == b"\x01"
             # Fenced: a frame connection now answers NOT_LEADER + redirect
             # (the redirect target is dead, so delivery ultimately fails,
             # but the transport learned the epoch and followed it).
@@ -949,7 +988,7 @@ class TestControlPlaneDispatch:
             with socket.create_connection(handle.address, timeout=10) as sock:
                 sock.settimeout(10)
                 sock.sendall(b"HLTHgarbage-after-a-probe")
-                struct.unpack(">H", _recv_exact(sock, 2))
+                struct.unpack(">H", recv_exact(sock, 2))
                 # The trailing garbage desynchronizes the control stream;
                 # the service closes rather than guessing.
                 sock.recv(4096)  # health payload
@@ -957,12 +996,3 @@ class TestControlPlaneDispatch:
         finally:
             handle.stop()
 
-
-def _recv_exact(sock, count):
-    chunks = bytearray()
-    while len(chunks) < count:
-        data = sock.recv(count - len(chunks))
-        if not data:
-            raise AssertionError("peer closed mid-response")
-        chunks.extend(data)
-    return bytes(chunks)

@@ -157,7 +157,7 @@ class TestAggregation:
                 pass
             for event in DynodroidGenerator(pirated_apk.dex(), seed=index).stream(400):
                 try:
-                    runtime.dispatch(event)
+                    runtime.session().dispatch(event)
                 except VMError:
                     pass
             any_detection = any_detection or bool(runtime.detections)

@@ -456,7 +456,7 @@ class TestTransparencyEndToEnd:
             def drive():
                 runtime.boot()
                 for event in events:
-                    runtime.dispatch(event)
+                    runtime.session().dispatch(event)
             if plan is not None:
                 with active_plan(plan):
                     drive()

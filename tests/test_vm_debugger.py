@@ -22,20 +22,20 @@ SOURCE = """
 """
 
 
-def installed_runtime(tracer=None):
+def installed_runtime(tracer):
     from repro.apk import Resources, build_apk
     from repro.crypto import RSAKeyPair
 
     dex = assemble(SOURCE)
     apk = build_apk(dex, Resources(strings={"app_name": "A"}), RSAKeyPair.generate(seed=41))
-    return Runtime(dex, package=apk.install_view(), tracer=tracer)
+    return Runtime(dex, package=apk.install_view(), tracers=[tracer])
 
 
 class TestDebugger:
     def test_api_watch_traces_back_to_caller(self):
         debugger = Debugger().watch_api("android.pm.get_public_key")
         runtime = installed_runtime(debugger)
-        runtime.invoke("A.on_key", [1])
+        runtime.session().invoke("A.on_key", [1])
         (hit,) = debugger.hits_for("android.pm.get_public_key")
         assert hit.source_method == "A.on_key"
         assert debugger.source_methods("android.pm.get_public_key") == {"A.on_key"}
@@ -43,7 +43,7 @@ class TestDebugger:
     def test_static_watch_records_writes(self):
         debugger = Debugger().watch_static("A.secret")
         runtime = installed_runtime(debugger)
-        runtime.invoke("A.on_key", [1])
+        runtime.session().invoke("A.on_key", [1])
         (hit,) = debugger.static_hits
         assert hit.field == "A.secret"
         assert hit.method == "A.on_key"
@@ -51,13 +51,13 @@ class TestDebugger:
     def test_breakpoints(self):
         debugger = Debugger().set_breakpoint("A.on_key", 0)
         runtime = installed_runtime(debugger)
-        runtime.invoke("A.on_key", [1])
+        runtime.session().invoke("A.on_key", [1])
         assert debugger.breakpoint_hits == [("A.on_key", 0)]
 
     def test_trace_ring_bounded(self):
         debugger = Debugger(trace_depth=4)
         runtime = installed_runtime(debugger)
-        runtime.invoke("A.on_key", [1])
+        runtime.session().invoke("A.on_key", [1])
         assert len(debugger.trace_tail(100)) <= 4
 
 

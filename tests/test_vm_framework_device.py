@@ -232,5 +232,5 @@ class TestEvents:
         dex = assemble(".class A\n.method on_back 0\nreturn_void\n.end")
         runtime = Runtime(dex)
         before = runtime.device.clock
-        runtime.dispatch(Event(EventKind.BACK, "A"))
+        runtime.session().dispatch(Event(EventKind.BACK, "A"))
         assert runtime.device.clock > before

@@ -15,7 +15,7 @@ def run_main(body: str, args=(), params=0):
     cls = dex.add_class(DexClass(name="T"))
     cls.add_method(assemble_method(body, class_name="T", name="m", params=params))
     runtime = Runtime(dex)
-    return runtime.invoke("T.m", list(args)), runtime
+    return runtime.session().invoke("T.m", list(args)).value, runtime
 
 
 class TestArithmetic:
@@ -173,7 +173,7 @@ class TestControlFlow:
         )
         runtime = Runtime(dex)
         with pytest.raises(BudgetExhausted):
-            runtime.invoke("T.m", [], budget=1000)
+            runtime.session(1000).invoke("T.m", [])
 
 
 class TestHeap:
@@ -221,7 +221,7 @@ class TestHeap:
         .end
         """
         runtime = Runtime(assemble(source))
-        assert runtime.invoke("Box.m", []) == 10
+        assert runtime.session().invoke("Box.m", []).value == 10
 
     def test_iget_on_null_crashes(self):
         with pytest.raises(VMCrash, match="non-object"):
@@ -241,7 +241,7 @@ class TestInvocation:
             return r1
         .end
         """
-        assert Runtime(assemble(source)).invoke("A.m", [21]) == 42
+        assert Runtime(assemble(source)).session().invoke("A.m", [21]).value == 42
 
     def test_unknown_method_crashes(self):
         with pytest.raises(VMCrash, match="unknown method"):
@@ -250,7 +250,7 @@ class TestInvocation:
     def test_invoke_missing_via_runtime_raises(self):
         runtime = Runtime(DexFile())
         with pytest.raises(MethodNotFound):
-            runtime.invoke("Ghost.m", [])
+            runtime.session().invoke("Ghost.m", [])
 
     def test_recursion_depth_limited(self):
         source = """
@@ -261,7 +261,7 @@ class TestInvocation:
         .end
         """
         with pytest.raises(VMCrash, match="depth"):
-            Runtime(assemble(source)).invoke("A.m", [0], budget=10**6)
+            Runtime(assemble(source)).session(10**6).invoke("A.m", [0])
 
     def test_arg_count_checked(self):
         source = """
@@ -271,7 +271,7 @@ class TestInvocation:
         .end
         """
         with pytest.raises(VMCrash, match="takes 2"):
-            Runtime(assemble(source)).invoke("A.m", [1])
+            Runtime(assemble(source)).session().invoke("A.m", [1])
 
 
 class TestTracers:
@@ -282,8 +282,8 @@ class TestTracers:
             assemble_method("const r0, 1\nadd r0, r0, r0\nreturn r0", class_name="T", name="m")
         )
         tracer = CountingTracer()
-        runtime = Runtime(dex, tracer=tracer)
-        runtime.invoke("T.m", [])
+        runtime = Runtime(dex, tracers=[tracer])
+        runtime.session().invoke("T.m", [])
         assert tracer.instructions == 3
         assert tracer.invocations.get("T.m") == 1
 
@@ -298,9 +298,9 @@ class TestTracers:
         cls = dex.add_class(DexClass(name="T"))
         cls.add_method(assemble_method(body, class_name="T", name="m", params=2))
         tracer = CoverageTracer()
-        runtime = Runtime(dex, tracer=tracer)
-        runtime.invoke("T.m", [0, 1])
-        runtime.invoke("T.m", [1, 0])
+        runtime = Runtime(dex, tracers=[tracer])
+        runtime.session().invoke("T.m", [0, 1])
+        runtime.session().invoke("T.m", [1, 0])
         outcomes = next(iter(tracer.branches.values()))
         assert outcomes == {True, False}
         assert 0.0 < tracer.instruction_coverage_of(dex) <= 1.0

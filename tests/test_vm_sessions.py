@@ -1,9 +1,9 @@
-"""The session API: ExecutionContext, tracer unification, SessionEngine.
+"""The session API: ExecutionContext, tracer registration, SessionEngine.
 
-``Runtime.session(...)`` is the execution entry point; these tests pin
-its contract -- measured results, budget accounting, tracer attach/
-detach, policy override scoping -- plus the batched SessionEngine the
-fleet calibration and opt-in real-session fleets share.
+``Runtime.session(budget)`` is the only way to run code; these tests
+pin its contract -- measured results, budget accounting, boot's
+per-main budget, tracer registration -- plus the batched SessionEngine
+the fleet calibration and opt-in real-session fleets share.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from repro.core.config import DetectionMethod, ResponseKind
 from repro.core.payloads import DetectionSpec, PayloadSpec, build_payload_dex
 from repro.dex import assemble
 from repro.dex.serializer import serialize_dex
+from repro.errors import BudgetExhausted
 from repro.vm import Runtime
-from repro.vm.containment import ContainmentPolicy
 from repro.vm.interpreter import CompositeTracer, CountingTracer, Tracer
-from repro.vm.sessions import ExecutionContext, SessionEngine, SessionResult
+from repro.vm.sessions import SessionEngine, SessionResult
 
 APP = """
 .class A
@@ -35,6 +35,24 @@ APP = """
 .end
 .method on_key 1
     invoke r1, A.bump, r0
+    return_void
+.end
+"""
+
+
+TWO_MAINS = """
+.class A
+.field done static 0
+.method main 0
+    const r0, 1
+    sput r0, A.done
+    return_void
+.end
+.class B
+.field done static 0
+.method main 0
+    const r0, 1
+    sput r0, B.done
     return_void
 .end
 """
@@ -65,52 +83,21 @@ class TestExecutionContext:
         assert ctx.remaining == 100 - 8
         assert second.remaining == ctx.remaining
 
-    def test_session_tracers_attach_only_inside(self):
-        runtime = _runtime()
-        tracer = CountingTracer()
-        ctx = runtime.session(tracers=[tracer])
-        assert runtime.tracers == ()
-        with ctx:
-            assert runtime.tracers == (tracer,)
-            ctx.invoke("A.bump", [1])
-            with ctx:  # reentrant: attaches once
-                assert runtime.tracers == (tracer,)
-            assert runtime.tracers == (tracer,)
-        assert runtime.tracers == ()
-        assert tracer.instructions == 4
-
-    def test_measured_call_attaches_transiently(self):
-        runtime = _runtime()
-        tracer = CountingTracer()
-        runtime.session(tracers=[tracer]).invoke("A.bump", [1])
-        assert runtime.tracers == ()
-        assert tracer.instructions == 4
-
-    def test_policy_override_swaps_and_restores(self):
-        base = ContainmentPolicy(max_consecutive_failures=9)
-        runtime = _runtime(containment=base)
-        override = ContainmentPolicy(payload_budget=123)
-        with runtime.session(policy=override):
-            assert runtime.containment is override
-            assert runtime.breaker.threshold == override.max_consecutive_failures
-        assert runtime.containment is base
-        assert runtime.breaker.threshold == 9
-
-    def test_policy_none_override_differs_from_no_override(self):
-        base = ContainmentPolicy()
-        runtime = _runtime(containment=base)
-        with runtime.session():  # no override
-            assert runtime.containment is base
-        with runtime.session(policy=None):  # explicit crash-through
-            assert runtime.containment is None
-        assert runtime.containment is base
-
     def test_boot_runs_mains(self):
         runtime = _runtime()
         runtime.statics["A.total"] = 77
-        results = runtime.session().boot()
-        assert [r.value for r in results] == [None]
+        runtime.boot()
         assert runtime.statics["A.total"] == 0
+
+    def test_boot_budget_is_per_main(self):
+        """Each zero-arg ``main`` gets its own ``budget``: two mains of
+        three instructions both run under a budget of four, and one
+        shared context would exhaust inside the second."""
+        runtime = Runtime(assemble(TWO_MAINS), seed=0)
+        runtime.boot(budget=4)
+        assert runtime.statics["A.done"] == runtime.statics["B.done"] == 1
+        with pytest.raises(BudgetExhausted):
+            Runtime(assemble(TWO_MAINS), seed=0).boot(budget=2)
 
     def test_trips_capture_bomb_events(self):
         """A detonating payload's bomb-registry events come back on the
@@ -173,18 +160,6 @@ class TestTracerUnification:
         composite = CompositeTracer([Probe("a"), Probe("b")])
         composite.on_invoke("X.y", [])
         assert order == [("a", "X.y"), ("b", "X.y")]
-
-    def test_setter_replaces_registration_set(self):
-        runtime = _runtime()
-        first, second = CountingTracer(), CountingTracer()
-        runtime.add_tracer(first)
-        runtime.add_tracer(second)
-        solo = CountingTracer()
-        runtime.tracer = solo        # legacy save/swap/restore idiom
-        assert runtime.tracers == (solo,)
-        runtime.tracer = None
-        assert runtime.tracers == ()
-        assert runtime.tracer is None
 
     def test_ctor_accepts_tracers_kwarg(self):
         tracer = CountingTracer()
