@@ -127,7 +127,7 @@ class BombDroid:
         stage_start = self._lap(timings, "unpack", stage_start)
 
         # -- step 2: profiling ------------------------------------------------
-        hot_profile, entropy = self._profile(apk, app_seed)
+        hot_profile, entropy = self._profile(apk, dex, app_seed)
         stage_start = self._lap(timings, "profile", stage_start)
         report.hot_methods = sorted(hot_profile.hot_methods)
         candidates = (
@@ -274,10 +274,14 @@ class BombDroid:
     # profiling
     # ------------------------------------------------------------------
 
-    def _profile(self, apk: Apk, app_seed: int):
-        """Hot-method and field-entropy profiling on the original app."""
+    def _profile(self, apk: Apk, dex: DexFile, app_seed: int):
+        """Hot-method and field-entropy profiling on the original app.
+
+        ``dex`` is the working copy, not yet instrumented; what running
+        it caches on a method (label map, compiled body) is dropped by
+        the ``invalidate()`` every mutator calls.
+        """
         config = self.config
-        dex = apk.dex()
         runtime = Runtime(
             dex,
             device=DevicePopulation(seed=app_seed).sample(),

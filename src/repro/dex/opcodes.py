@@ -15,6 +15,12 @@ import enum
 class Op(enum.Enum):
     """Every opcode understood by the interpreter and serializer."""
 
+    # Members are singletons and compare by identity, so the C identity
+    # hash is exact and skips ``Enum.__hash__``, a Python-level call, on
+    # every opcode set and dict lookup.  Nothing iterates a set of
+    # opcodes into an output, so the address-based order never shows.
+    __hash__ = object.__hash__
+
     # -- data movement ----------------------------------------------------
     NOP = "nop"
     CONST = "const"          # dst <- literal (int / bool / str / bytes / null)

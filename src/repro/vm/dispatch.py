@@ -116,9 +116,9 @@ class _Frame:
 class CompiledMethod:
     """One method, compiled: step closures plus tracer-fidelity maps.
 
-    ``warmth`` counts the instructions its untraced frames ran on the
-    step table; ``tier2`` is the method's tier-2 function once it is
-    warm (:mod:`repro.vm.tier2`).
+    ``warmth`` counts the instructions its untraced, uncounted frames
+    ran on the step table; ``tier2`` is the method's tier-2 function
+    once it is warm (:mod:`repro.vm.tier2`).
     """
 
     __slots__ = (

@@ -8,10 +8,12 @@ as one generated Python function instead (:mod:`repro.vm.tier2`).  With:
 * label-based branching (resolved to table indices at compile time);
 * an instruction budget so endless-loop responses and runaway code
   surface as :class:`BudgetExhausted` instead of hanging the host;
-* pluggable tracers -- the profiler (Traceview stand-in), coverage
-  measurement for fuzzers, and the debugging attack all observe
+* pluggable tracers -- coverage measurement for fuzzers, the
+  attacks' instruction counters and the debugging attack all observe
   execution through the same hook, registered via
   ``Runtime(tracers=[...])`` or ``Runtime.add_tracer``;
+* frame-entry counts for the hot-method profiler (the Traceview
+  stand-in), which counts method entries without tracing instructions;
 * a *cost model*: every instruction costs 1 unit and framework calls
   cost their published weight, giving a deterministic execution-time
   metric for the Table 5 overhead experiment.
@@ -27,7 +29,7 @@ only :meth:`Interpreter.execute`.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.chaos.faults import fault_point
 from repro.dex.model import DexMethod
@@ -59,7 +61,7 @@ class Tracer:
 
 
 class CountingTracer(Tracer):
-    """Counts instructions and per-method invocations (Traceview role)."""
+    """Counts instructions and per-method invocations."""
 
     def __init__(self) -> None:
         self.instructions = 0
@@ -133,6 +135,9 @@ class Interpreter:
         # compiled body, so a recompile naturally starts with cold
         # cells and the stale array is never consulted again.
         self._cells: Dict[object, list] = {}
+        #: Frame entries per qualified name, counted while a dict is set
+        #: here (the profiler's Traceview role; see :meth:`execute`).
+        self.invocation_counts: Optional[Dict[str, int]] = None
 
     def execute_payload(self, method: DexMethod, args: List, ctx: ExecutionContext, policy):
         """Run a bomb payload frame, under a sub-budget when contained.
@@ -159,7 +164,17 @@ class Interpreter:
     def execute(self, method: DexMethod, args: List, ctx: ExecutionContext, depth: int = 0):
         """Execute ``method`` with ``args`` under ``ctx``; returns its
         return value.  The context's budget caps executed instructions
-        across this call *including* callees (shared budget cell)."""
+        across this call *including* callees (shared budget cell).
+
+        While :attr:`invocation_counts` is set, every entry counts
+        against ``method``'s name -- before the depth and arity checks,
+        so a call that crashes there still counts -- and the frame runs
+        tier-1 without adding warmth.
+        """
+        counts = self.invocation_counts
+        if counts is not None:
+            name = method.qualified_name
+            counts[name] = counts.get(name, 0) + 1
         if depth > MAX_CALL_DEPTH:
             raise VMCrash(f"call depth exceeded at {method.qualified_name}")
         if len(args) != method.params:
@@ -179,7 +194,8 @@ class Interpreter:
             self._cells[code] = cells
         budget = ctx.budget
         frame = _Frame(self, runtime, method, tracer, ctx, budget, depth, cells)
-        if tracer is None:
+        tiered = tracer is None and counts is None
+        if tiered:
             fast = code.tier2
             if fast is None and code.warmth >= tier2.WARM_INSTRUCTIONS:
                 fast = tier2.compile_tier2(method, code)
@@ -213,7 +229,7 @@ class Interpreter:
                     i = steps[i](registers, frame)
         finally:
             runtime.cost_units += cost
-            if tracer is None:
+            if tiered:
                 code.warmth += cost
         if i >= 0:
             raise VMCrash(

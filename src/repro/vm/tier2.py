@@ -6,7 +6,8 @@ a method's untraced tier-1 frames have run :data:`WARM_INSTRUCTIONS`
 instructions, :func:`compile_tier2` generates Python source for the
 whole body and :meth:`Interpreter.execute` runs that function for every
 frame that starts without a tracer.  Traced frames always run tier-1,
-so tracer streams never depend on the tier.
+so tracer streams never depend on the tier; so do the frames the
+hot-method profiler counts, which add no warmth.
 
 A tier-2 frame leaves exactly the state a tier-1 frame leaves: result,
 exception type and message, budget cell, cost units, statics.

@@ -1,7 +1,13 @@
 """The BombDroid pipeline end to end on the small fixture app."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro.apk.package
 from repro.core import BombDroid, BombDroidConfig
 from repro.core.stats import BombOrigin
 from repro.dex.disassembler import disassemble
@@ -163,3 +169,50 @@ class TestConfigAblations:
             BombDroidConfig(inner_probability=(0.5, 0.1))
         with pytest.raises(ValueError):
             BombDroidConfig(detection_methods=())
+
+
+class TestProtectDoesEachJobOnce:
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_dex_is_decoded_once(self, small_apk, developer_key, monkeypatch, strict):
+        # Profiling runs on protect's working copy of the dex; it does
+        # not parse the input apk a second time.
+        decode = repro.apk.package.deserialize_dex
+        calls = []
+
+        def counting(blob):
+            calls.append(len(blob))
+            return decode(blob)
+
+        monkeypatch.setattr(repro.apk.package, "deserialize_dex", counting)
+        config = BombDroidConfig(seed=5, profiling_events=200)
+        BombDroid(config).protect(small_apk, developer_key, strict=strict)
+        assert len(calls) == 1
+
+    def test_output_does_not_depend_on_the_hash_seed(self):
+        # Opcodes hash by identity, so sets of them iterate in address
+        # order; no protect output may follow that order (or the string
+        # hash seed).
+        script = textwrap.dedent(
+            """
+            from repro.core import BombDroid, BombDroidConfig
+            from repro.core.bombdroid import app_identity_digest
+            from repro.corpus import build_app
+
+            bundle = build_app("Seeded", category="Security", seed=3, scale=0.25)
+            config = BombDroidConfig(seed=3, profiling_events=150)
+            result = BombDroid(config).protect(
+                bundle.apk, bundle.developer_key, strict=True
+            )
+            print(app_identity_digest(result.apk), result.report.total_injected)
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        seen = set()
+        for seed in (0, 1):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            seen.add(out.stdout.strip())
+        assert len(seen) == 1
