@@ -34,7 +34,10 @@ tier-1.  The frame's cost reaches ``runtime.cost_units`` in a
 
 **Opcodes.**  Hot opcodes are inlined with tier-1's ``type(x) is int``
 fast paths, calling ``require_int`` only off them and in tier-1's
-operand order.  Every other opcode calls its tier-1 step closure, so
+operand order.  SGET and SPUT use the runtime's statics dict, bound
+once per frame (``Runtime.statics`` is one dict for the runtime's
+life), and call ``Runtime.sget``/``sput`` only for a missing field,
+which raises.  Every other opcode calls its tier-1 step closure, so
 its semantics live in one place.  INVOKE goes through
 :func:`repro.vm.dispatch._call` with tier-1's inline-cache cell index
 (the INVOKE's ordinal in program order).
@@ -45,7 +48,21 @@ its semantics live in one place.  INVOKE goes through
 a ``while True:`` around them all.  A simple loop -- entered only at
 its head, left only forward -- runs as its own inner ``while True:``,
 so the corpus's counted loops pay no guard compares per iteration.
-Registers stay in the frame's list.
+Registers stay in the frame's list, except in int-only loops.
+
+**Int-only loops.**  A simple loop whose every instruction is an int
+CONST, MOVE, NOP, one of the eight register binops, an int-literal
+binop, a compare or GOTO -- every label defined, every register below
+``method.registers`` -- gets a second, types-proven body.  A guard at
+its head enters it when every register the loop reads holds an exact
+``int``; otherwise the checked loop runs.  Int arithmetic under the
+32-bit wrap yields only ints and nothing in the loop can raise, so the
+proven body keeps its registers and the budget in locals and emits no
+type checks and no ``refund``.  Every exit (a branch past the loop's
+end, or the fall-through) spills: the written registers go back to the
+frame's list, ``cell[0] - budget`` is added to the frame's cost and the
+budget goes back to the cell.  A block the budget cannot cover undoes
+its own charge and spills the same way before ``short`` runs it.
 
 Code objects are memoised by source text, with per-method constants
 bound through the exec namespace, so identical bodies -- a genuine and
@@ -57,7 +74,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from repro.crypto import sha1_hex
 from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
@@ -81,15 +98,19 @@ _ENDS_BLOCK = CONDITIONAL_BRANCHES | {
 }
 
 _BINARY = {
-    Op.ADD: "x + y", Op.SUB: "x - y", Op.MUL: "x * y", Op.AND: "x & y",
-    Op.OR: "x | y", Op.XOR: "x ^ y", Op.SHL: "x << (y & 31)",
-    Op.SHR: "x >> (y & 31)",
+    Op.ADD: "{x} + {y}", Op.SUB: "{x} - {y}", Op.MUL: "{x} * {y}",
+    Op.AND: "{x} & {y}", Op.OR: "{x} | {y}", Op.XOR: "{x} ^ {y}",
+    Op.SHL: "{x} << ({y} & 31)", Op.SHR: "{x} >> ({y} & 31)",
 }
 _LITERAL = {
     Op.ADD_LIT: "+", Op.SUB_LIT: "-", Op.MUL_LIT: "*", Op.AND_LIT: "&",
     Op.OR_LIT: "|", Op.XOR_LIT: "^",
 }
 _ORDER = {Op.IF_LT: "<", Op.IF_GE: ">=", Op.IF_GT: ">", Op.IF_LE: "<="}
+
+#: Opcodes that, given int operands, write only ints and cannot raise
+#: (CONST and the ``_LITERAL`` ops too, with an int literal).
+_INT_WORK = CONDITIONAL_BRANCHES | set(_BINARY) | {Op.MOVE, Op.NOP, Op.GOTO}
 
 #: Helpers every generated function takes as fast locals.
 _HELPERS = {
@@ -160,6 +181,7 @@ class _Source:
 
     def __init__(self, method, code) -> None:
         self.instrs = method.instructions
+        self.registers = method.registers
         labels = method.label_map()
         self.steps = dict(zip(code.orig_pcs, code.steps))
         self.blocks = _blocks(self.instrs, labels)
@@ -170,6 +192,10 @@ class _Source:
         self.lines: List[str] = []
         self.back_edges = False
         self.inner = None
+        #: None: registers live in ``r`` and operand types are checked.
+        #: In the types-proven body of an int-only loop, registers are
+        #: locals and this lists the ones it writes back on every exit.
+        self.spills: Optional[List[int]] = None
         self.cell = 0
 
     def bind(self, value) -> str:
@@ -185,6 +211,10 @@ class _Source:
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
+
+    def reg(self, i: int) -> str:
+        """Register ``i``: a local in a types-proven body, else ``r[i]``."""
+        return f"r[{i}]" if self.spills is None else f"r{i}"
 
     # -- per-instruction emitters -------------------------------------------
 
@@ -217,57 +247,67 @@ class _Source:
     def generic(self, d: int, pc: int, n: int) -> None:
         self.guarded(d, n, [f"{self.bind(self.steps[pc])}(r, frame)"])
 
+    def ints(self, d: int, n: int, name: str, *regs: int) -> List[str]:
+        """Spellings of the int operands ``regs`` of opcode ``name``.
+
+        Unless types are proven, each is loaded into ``x``/``y`` and
+        goes through ``ri`` off the ``type(x) is int`` fast path.
+        """
+        if self.spills is not None:
+            return [self.reg(i) for i in regs]
+        temps = ["x", "y"][: len(regs)]
+        for t, i in zip(temps, regs):
+            self.emit(d, f"{t} = r[{i}]")
+        self.emit(d, "if " + " or ".join(f"type({t}) is not int" for t in temps) + ":")
+        self.guarded(d + 1, n, [f"{t} = ri({t}, {name!r})" for t in temps])
+        return temps
+
     def instr(self, d: int, pc: int, n: int, k: int) -> None:
         ins = self.instrs[pc]
         op = ins.op
+        proven = self.spills is not None
         if op is Op.CONST:
-            self.emit(d, f"r[{ins.dst}] = {self.lit(ins.value)}")
+            self.emit(d, f"{self.reg(ins.dst)} = {self.lit(ins.value)}")
         elif op is Op.MOVE:
-            self.emit(d, f"r[{ins.dst}] = r[{ins.a}]")
+            self.emit(d, f"{self.reg(ins.dst)} = {self.reg(ins.a)}")
         elif op is Op.NOP:
             pass
         elif op in _BINARY:
-            name = _ARITH[op][0]
-            self.emit(d, f"x = r[{ins.a}]")
-            self.emit(d, f"y = r[{ins.b}]")
-            self.emit(d, "if type(x) is not int or type(y) is not int:")
-            self.guarded(d + 1, n, [f"x = ri(x, {name!r})", f"y = ri(y, {name!r})"])
-            self.emit(d, f"v = ({_BINARY[op]}) & 0xFFFFFFFF")
-            self.emit(d, f"r[{ins.dst}] = {_WRAP}")
+            x, y = self.ints(d, n, _ARITH[op][0], ins.a, ins.b)
+            self.emit(d, f"v = ({_BINARY[op].format(x=x, y=y)}) & 0xFFFFFFFF")
+            self.emit(d, f"{self.reg(ins.dst)} = {_WRAP}")
         elif op in _LITERAL and type(ins.value) is int:
-            name = _ARITH_LIT[op][0]
-            self.emit(d, f"x = r[{ins.a}]")
-            self.emit(d, "if type(x) is not int:")
-            self.guarded(d + 1, n, [f"x = ri(x, {name!r})"])
-            self.emit(d, f"v = (x {_LITERAL[op]} ({ins.value!r})) & 0xFFFFFFFF")
-            self.emit(d, f"r[{ins.dst}] = {_WRAP}")
+            (x,) = self.ints(d, n, _ARITH_LIT[op][0], ins.a)
+            self.emit(d, f"v = ({x} {_LITERAL[op]} ({ins.value!r})) & 0xFFFFFFFF")
+            self.emit(d, f"{self.reg(ins.dst)} = {_WRAP}")
         elif op in _ORDER:
-            name = op.value
-            self.emit(d, f"x = r[{ins.a}]")
-            self.emit(d, f"y = r[{ins.b}]")
-            self.emit(d, "if type(x) is not int or type(y) is not int:")
-            self.emit(d + 1, f"x = ri(x, {name!r})")
-            self.emit(d + 1, f"y = ri(y, {name!r})")
-            self.emit(d, f"if x {_ORDER[op]} y:")
+            x, y = self.ints(d, n, op.value, ins.a, ins.b)
+            self.emit(d, f"if {x} {_ORDER[op]} {y}:")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_EQ or op is Op.IF_NE:
-            self.emit(d, f"x = r[{ins.a}]")
-            self.emit(d, f"y = r[{ins.b}]")
-            test = "x == y if type(x) is int and type(y) is int else eq(x, y)"
+            if proven:
+                test = f"{self.reg(ins.a)} == {self.reg(ins.b)}"
+            else:
+                self.emit(d, f"x = r[{ins.a}]")
+                self.emit(d, f"y = r[{ins.b}]")
+                test = "x == y if type(x) is int and type(y) is int else eq(x, y)"
             self.emit(d, f"if {test}:" if op is Op.IF_EQ else f"if not ({test}):")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_EQZ or op is Op.IF_NEZ:
-            self.emit(d, f"x = r[{ins.a}]")
-            if op is Op.IF_EQZ:
-                self.emit(d, "if x == 0 if type(x) is int else not truthy(x):")
+            if proven:
+                x = self.reg(ins.a)
+                test = f"{x} == 0" if op is Op.IF_EQZ else f"{x} != 0"
             else:
-                self.emit(d, "if x != 0 if type(x) is int else truthy(x):")
+                self.emit(d, f"x = r[{ins.a}]")
+                if op is Op.IF_EQZ:
+                    test = "x == 0 if type(x) is int else not truthy(x)"
+                else:
+                    test = "x != 0 if type(x) is int else truthy(x)"
+            self.emit(d, f"if {test}:")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_LTZ or op is Op.IF_GEZ:
-            self.emit(d, f"x = r[{ins.a}]")
-            self.emit(d, "if type(x) is not int:")
-            self.emit(d + 1, f"x = ri(x, {op.value!r})")
-            self.emit(d, "if x < 0:" if op is Op.IF_LTZ else "if x >= 0:")
+            (x,) = self.ints(d, n, op.value, ins.a)
+            self.emit(d, f"if {x} < 0:" if op is Op.IF_LTZ else f"if {x} >= 0:")
             self.jump(d + 1, ins.target, k)
         elif op is Op.GOTO:
             self.jump(d, ins.target, k)
@@ -278,9 +318,15 @@ class _Source:
         elif op is Op.RETURN_VOID:
             self.emit(d, "return None")
         elif op is Op.SGET:
-            self.guarded(d, n, [f"r[{ins.dst}] = runtime.sget({ins.value!r})"])
+            self.emit(d, "try:")
+            self.emit(d + 1, f"r[{ins.dst}] = statics[{ins.value!r}]")
+            self.emit(d, "except KeyError:")
+            self.guarded(d + 1, n, [f"r[{ins.dst}] = runtime.sget({ins.value!r})"])
         elif op is Op.SPUT:
-            self.guarded(d, n, [f"runtime.sput({ins.value!r}, r[{ins.a}])"])
+            self.emit(d, f"if {ins.value!r} in statics:")
+            self.emit(d + 1, f"statics[{ins.value!r}] = r[{ins.a}]")
+            self.emit(d, "else:")
+            self.guarded(d + 1, n, [f"runtime.sput({ins.value!r}, r[{ins.a}])"])
         elif op is Op.INVOKE:
             args = ", ".join(f"r[{reg}]" for reg in ins.args)
             cell = self.cell
@@ -353,16 +399,75 @@ class _Source:
             loops[head] = end
         return loops
 
+    def int_only(self, head: int, end: int) -> Optional[Tuple[List[int], List[int]]]:
+        """(read, written) registers of the loop ``[head, end]`` when all
+        of it is int-only register work that cannot raise, else None."""
+        reads, writes = set(), set()
+        for k in range(head, end + 1):
+            for pc in self.blocks[k]:
+                ins = self.instrs[pc]
+                op = ins.op
+                if op not in _INT_WORK and not (
+                    (op is Op.CONST or op in _LITERAL) and type(ins.value) is int
+                ):
+                    return None
+                if ins.target is not None and self.block_of.get(ins.target) is None:
+                    return None
+                reads.update(ins.reads())
+                writes.update(ins.writes())
+        if not all(0 <= i < self.registers for i in reads | writes):
+            return None
+        return sorted(reads), sorted(writes)
+
+    def spill(self, d: int) -> None:
+        """Leave a types-proven body: registers and budget back to the
+        frame, and the instructions run since entry into ``cost``."""
+        for i in self.spills:
+            self.emit(d, f"r[{i}] = r{i}")
+        self.emit(d, "cost += cell[0] - budget")
+        self.emit(d, "cell[0] = budget")
+
     def block(self, d: int, k: int) -> None:
         block = self.blocks[k]
         size = len(block)
-        self.emit(d, f"c = cell[0] - {size}")
-        self.emit(d, "if c < 0:")
-        self.emit(d + 1, f"short({k}, r, frame)")
-        self.emit(d, "cell[0] = c")
-        self.emit(d, f"cost += {size}")
+        if self.spills is None:
+            self.emit(d, f"c = cell[0] - {size}")
+            self.emit(d, "if c < 0:")
+            self.emit(d + 1, f"short({k}, r, frame)")
+            self.emit(d, "cell[0] = c")
+            self.emit(d, f"cost += {size}")
+        else:
+            self.emit(d, f"budget -= {size}")
+            self.emit(d, "if budget < 0:")
+            self.emit(d + 1, f"budget += {size}")
+            self.spill(d + 1)
+            self.emit(d + 1, f"short({k}, r, frame)")
         for pos, pc in enumerate(block):
             self.instr(d, pc, size - pos - 1, k)
+
+    def loop(self, d: int, head: int, end: int) -> None:
+        self.emit(d, "while True:")
+        self.inner = (head, end)
+        for k in range(head, end + 1):
+            self.block(d + 1, k)
+        if self.instrs[self.blocks[end][-1]].op is not Op.GOTO:
+            self.emit(d + 1, "break")  # the back edge was not taken
+        self.inner = None
+
+    def proven_loop(self, d: int, head: int, end: int, reads, writes) -> None:
+        """An int-only loop: the types-proven body when every register
+        it reads holds an exact int on entry, else the checked one."""
+        for i in sorted({*reads, *writes}):
+            self.emit(d, f"r{i} = r[{i}]")
+        guard = " and ".join(f"type(r{i}) is int" for i in reads) or "True"
+        self.emit(d, f"if {guard}:")
+        self.emit(d + 1, "budget = cell[0]")
+        self.spills = writes
+        self.loop(d + 1, head, end)
+        self.spill(d + 1)
+        self.spills = None
+        self.emit(d, "else:")
+        self.loop(d + 1, head, end)
 
     def generate(self, fell_off: str) -> str:
         d = 4
@@ -375,13 +480,11 @@ class _Source:
                 self.block(d, k)
                 k += 1
                 continue
-            self.emit(d, "while True:")
-            self.inner = (k, end)
-            for j in range(k, end + 1):
-                self.block(d + 1, j)
-            if self.instrs[self.blocks[end][-1]].op is not Op.GOTO:
-                self.emit(d + 1, "break")  # the back edge was not taken
-            self.inner = None
+            regs = self.int_only(k, end)
+            if regs is None:
+                self.loop(d, k, end)
+            else:
+                self.proven_loop(d, k, end, *regs)
             k = end + 1
         self.emit(d - 1, f"raise VMCrash({self.bind(fell_off)})")
         body = self.lines
@@ -392,6 +495,7 @@ class _Source:
         head = [
             f"def run(r, frame, cell, {params}):",
             "    runtime = frame.runtime",
+            "    statics = runtime.statics",
             "    cost = 0",
             "    refund = 0",
             "    b = 0",

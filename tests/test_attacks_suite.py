@@ -19,14 +19,55 @@ from repro.attacks import (
 )
 from repro.attacks.brute_force import rainbow_attack
 from repro.analysis.qualified_conditions import Strength
-from repro.core import SSNConfig, SSNProtector
+from repro.apk.package import build_apk
+from repro.apk.resources import Resources
+from repro.core import BombDroid, BombDroidConfig, SSNConfig, SSNProtector
 from repro.core.naive import NaiveProtector
+from repro.dex import assemble
+from tests.conftest import SMALL_APP_SOURCE
+
+#: The shared fixture app plus a login check whose ``equals`` result is
+#: tested for zero: a boolean QC, hence a WEAK bomb.
+WEAK_APP_SOURCE = SMALL_APP_SOURCE + """
+.class Login
+.field user static "guest"
+.field ok static false
+.method on_text 1
+    sget r1, Login.user
+    invoke r2, java.str.equals, r0, r1
+    if_eqz r2, @no
+    const r3, true
+    sput r3, Login.ok
+@no:
+    return_void
+.end
+"""
 
 
 @pytest.fixture(scope="module")
 def ssn_apk(small_apk, developer_key):
     apk, _ = SSNProtector(SSNConfig(seed=4)).protect(small_apk, developer_key)
     return apk
+
+
+@pytest.fixture(scope="module")
+def weak_bombs(developer_key):
+    """The real WEAK bombs of a protection that has at least one.
+
+    The session ``protection`` fixture yields none, and re-seeding it
+    would move every test that uses it.
+    """
+    apk = build_apk(
+        assemble(WEAK_APP_SOURCE),
+        Resources(strings={"app_name": "Game"}, app_name="Game", author="honest-dev"),
+        developer_key,
+    )
+    report = BombDroid(BombDroidConfig(seed=0, profiling_events=200)).protect(
+        apk, developer_key
+    ).report
+    weak = [b for b in report.real_bombs() if b.strength is Strength.WEAK]
+    assert weak, "the weak-bomb fixture produced no WEAK bomb"
+    return weak
 
 
 @pytest.fixture(scope="module")
@@ -151,12 +192,9 @@ class TestDeletion:
 
 
 class TestBruteForce:
-    def test_weak_bombs_crack_instantly(self, protection_report):
-        weak = [b for b in protection_report.real_bombs() if b.strength is Strength.WEAK]
-        if not weak:
-            pytest.skip("fixture produced no weak bombs")
+    def test_weak_bombs_crack_instantly(self, weak_bombs):
         attack = BruteForceAttack(int_budget=10)
-        for bomb in weak:
+        for bomb in weak_bombs:
             report = attack.crack_bomb(bomb)
             assert report.outcome is CrackOutcome.CRACKED
             assert report.tries <= 2

@@ -9,13 +9,16 @@ the full run, and both must agree on the result or exception (type and
 message), the instructions consumed, the cost units and the statics.
 A second test warms a method onto tier-2, splices a slice of another
 generated method into it with ``MethodEditor`` and diffs the runs of
-the edited body the same way.
+the edited body the same way.  A third draws loops made only of the
+opcodes tier-2 runs with registers in locals, and checks that its
+types-proven body both runs and agrees.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -332,6 +335,107 @@ def test_tier2_matches_reference_after_a_splice(program, donor, args, data):
         editor.method.grow_registers(max(donor[1] - editor.method.registers, 0))
 
     _agrees_at_every_budget(program, args[: program[2]], edit)
+
+
+#: Entry values of an int-only loop's registers: exact ints most often,
+#: so the types-proven body runs in a clear share of the examples, and
+#: bools, ``None``, strings and ints outside 32 bits for the fallback.
+ENTRY = st.one_of(st.integers(-3, 12), INTS, STRS)
+
+
+@st.composite
+def int_loops(draw):
+    """(instructions, registers, params, False) of a ``G.main`` whose one
+    simple loop holds only int-only opcodes: int CONSTs, MOVE, NOP, the
+    eight register binops, int-literal binops, compares and GOTO.  Its
+    conditional exits leave for ``@out``; its back edge is a GOTO or a
+    compare, whose fall-through is an exit too."""
+    params = draw(st.integers(0, 2))
+    b = MethodBuilder("G", "main", params=params)
+    R = list(range(params)) + b.regs(3)
+    for reg in R[params:]:
+        b.const(reg, draw(ENTRY))
+    b.label("top")
+
+    def pick():
+        return draw(st.sampled_from(R))
+
+    def compare(target):
+        if draw(st.booleans()):
+            return Instr(draw(st.sampled_from(_BRANCHES)), a=pick(), b=pick(), target=target)
+        return Instr(draw(st.sampled_from(_ZERO_BRANCHES)), a=pick(), target=target)
+
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["const", "move", "binop", "lit", "exit", "nop"]))
+        if kind == "const":
+            b.emit(ins.const(pick(), draw(st.integers(-3, 2**31 - 1))))
+        elif kind == "move":
+            b.emit(ins.move(pick(), pick()))
+        elif kind == "binop":
+            op = draw(st.sampled_from([op for op in _INT_BINOPS if op not in (Op.DIV, Op.REM)]))
+            b.emit(ins.binop(op, pick(), pick(), pick()))
+        elif kind == "lit":
+            op = draw(st.sampled_from([Op.ADD_LIT, Op.SUB_LIT, Op.MUL_LIT, Op.AND_LIT,
+                                       Op.OR_LIT, Op.XOR_LIT]))
+            b.emit(ins.binop_lit(op, pick(), pick(), draw(st.integers(-3, 40))))
+        elif kind == "exit":
+            b.emit(compare("out"))
+        else:
+            b.emit(Instr(Op.NOP))
+    b.emit(ins.goto("top") if draw(st.booleans()) else compare("top"))
+    b.label("out")
+    b.emit(ins.ret(pick()))
+    method = b.build()
+    return method.instructions, method.registers, params, False
+
+
+def _ran_types_proven(run):
+    """Call ``run()``; True when a tier-2 frame bound ``budget``, the
+    local that only an int-only loop's types-proven body binds."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "return" and "budget" in frame.f_locals:
+            seen.append(True)
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith("<tier2 "):
+            frame.f_trace_lines = False
+            return local
+        return None
+
+    saved = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        run()
+    finally:
+        sys.settrace(saved)
+    return bool(seen)
+
+
+def test_int_only_loops_match_reference_at_every_budget():
+    """Every drawn loop gets a types-proven body; it runs in a clear
+    share of the examples, and both bodies agree with the oracle."""
+    proven = []
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(program=int_loops(), args=st.lists(ENTRY, min_size=2, max_size=2))
+    def check(program, args):
+        args = args[: program[2]]
+        _agrees_at_every_budget(program, args)
+        fast = _runtime(Runtime, program)
+        with _tier2_from_first_call():
+            proven.append(_ran_types_proven(lambda: _outcome(fast, args, FULL)))
+        assert "budget" in fast.find_method("G.main")._compiled.tier2.__code__.co_varnames
+
+    check()
+    assert sum(proven) >= len(proven) // 4, (sum(proven), len(proven))
 
 
 #: Loops tier-2 must not run as simple inner loops: one is entered in
