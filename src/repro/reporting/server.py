@@ -343,10 +343,16 @@ class ReportServer:
             # nonce) so the client's retry is not misread as a duplicate.
             if not self._durability.append_report(app.name, report, shard_index):
                 return self._reject("reporting.wal_failed", SubmitStatus.DROPPED)
+        nonces = len(shard.nonce_set)
         shard.remember(report.device_id, report.nonce, self.dedup_window)
         shard.queue.append(report)
         self.metrics.counter("reporting.accepted").inc()
-        self._update_gauges()
+        # Only this shard moved: one more queued report, and the nonce
+        # set by what ``remember`` added net of its cap.
+        self.metrics.gauge("reporting.queue_depth").add(1)
+        self.metrics.gauge("reporting.tracked_state").add(
+            1 + len(shard.nonce_set) - nonces
+        )
         if self._durability is not None:
             self._durability.maybe_compact(self)
         return SubmitStatus.ACCEPTED
@@ -410,10 +416,13 @@ class ReportServer:
             raise ReportingError(f"unknown app {app_name!r}")
         counts: Dict[str, int] = {}
         first_ts: Dict[str, float] = {}
+        pruned = 0  # tracked entries the window dropped; no queue moves
         for shard in app.shards:
             dead: List[str] = []
             for key, window in shard.windows.items():
+                size = window.size()
                 window.prune(self.clock, self.policy.window_seconds)
+                pruned += size - window.size()
                 distinct = window.distinct_devices()
                 if not distinct:
                     # A window that pruned to empty must not keep
@@ -429,6 +438,9 @@ class ReportServer:
                 del shard.windows[key]
             if dead:
                 self.metrics.counter("reporting.evicted_keys").inc(len(dead))
+                pruned += len(dead)
+        if pruned:
+            self.metrics.gauge("reporting.tracked_state").add(-pruned)
         if not counts:
             return AggregatedVerdict.CLEAN, ""
         best_key = max(counts, key=lambda key: (counts[key], key))

@@ -47,22 +47,22 @@ its semantics live in one place.  INVOKE goes through
 (one compare per block skipped); a back edge sets ``b`` and continues
 a ``while True:`` around them all.  A simple loop -- entered only at
 its head, left only forward -- runs as its own inner ``while True:``,
-so the corpus's counted loops pay no guard compares per iteration.
-Registers stay in the frame's list, except in int-only loops.
+so it pays no guard compares per iteration.  Registers stay in the
+frame's list.
 
-**Int-only loops.**  A simple loop whose every instruction is an int
-CONST, MOVE, NOP, one of the eight register binops, an int-literal
-binop, a compare or GOTO -- every label defined, every register below
-``method.registers`` -- gets a second, types-proven body.  A guard at
-its head enters it when every register the loop reads holds an exact
-``int``; otherwise the checked loop runs.  Int arithmetic under the
-32-bit wrap yields only ints and nothing in the loop can raise, so the
-proven body keeps its registers and the budget in locals and emits no
-type checks and no ``refund``.  Every exit (a branch past the loop's
-end, or the fall-through) spills: the written registers go back to the
-frame's list, ``cell[0] - budget`` is added to the frame's cost and the
-budget goes back to the cell.  A block the budget cannot cover undoes
-its own charge and spills the same way before ``short`` runs it.
+**Counted loops.**  A simple loop whose head block is the single
+instruction ``if_ge i, n, @out`` (``@out`` past the loop's end) and
+whose rest is zero or more ``add a, a, i``, then ``add_lit i, i, 1``,
+then a ``goto`` back to the head -- ``i``, ``n`` and every ``a``
+distinct registers -- is a counted loop: the corpus's filler loop and
+the SLOWDOWN response emit it.  Its exit values have a closed form,
+entered only when ``i``, ``n`` and every ``a`` hold an exact ``int``,
+``-2**31 <= i`` and ``n <= 2**31 - 1`` (so ``i`` never wraps).  With
+``m = n - i if i < n else 0`` trips of ``L`` instructions, a budget of
+at least ``L*m + 1`` is charged ``L*m + 1`` in one step, each ``a``
+becomes ``wrap32(a + m*i + m*(m-1)//2)`` and ``i`` becomes ``n`` (when
+``m > 0``), and control continues at ``@out``.  In every other case
+the checked loop runs, and it owns budget exhaustion and type errors.
 
 Code objects are memoised by source text, with per-method constants
 bound through the exec namespace, so identical bodies -- a genuine and
@@ -98,19 +98,15 @@ _ENDS_BLOCK = CONDITIONAL_BRANCHES | {
 }
 
 _BINARY = {
-    Op.ADD: "{x} + {y}", Op.SUB: "{x} - {y}", Op.MUL: "{x} * {y}",
-    Op.AND: "{x} & {y}", Op.OR: "{x} | {y}", Op.XOR: "{x} ^ {y}",
-    Op.SHL: "{x} << ({y} & 31)", Op.SHR: "{x} >> ({y} & 31)",
+    Op.ADD: "x + y", Op.SUB: "x - y", Op.MUL: "x * y", Op.AND: "x & y",
+    Op.OR: "x | y", Op.XOR: "x ^ y", Op.SHL: "x << (y & 31)",
+    Op.SHR: "x >> (y & 31)",
 }
 _LITERAL = {
     Op.ADD_LIT: "+", Op.SUB_LIT: "-", Op.MUL_LIT: "*", Op.AND_LIT: "&",
     Op.OR_LIT: "|", Op.XOR_LIT: "^",
 }
 _ORDER = {Op.IF_LT: "<", Op.IF_GE: ">=", Op.IF_GT: ">", Op.IF_LE: "<="}
-
-#: Opcodes that, given int operands, write only ints and cannot raise
-#: (CONST and the ``_LITERAL`` ops too, with an int literal).
-_INT_WORK = CONDITIONAL_BRANCHES | set(_BINARY) | {Op.MOVE, Op.NOP, Op.GOTO}
 
 #: Helpers every generated function takes as fast locals.
 _HELPERS = {
@@ -192,10 +188,6 @@ class _Source:
         self.lines: List[str] = []
         self.back_edges = False
         self.inner = None
-        #: None: registers live in ``r`` and operand types are checked.
-        #: In the types-proven body of an int-only loop, registers are
-        #: locals and this lists the ones it writes back on every exit.
-        self.spills: Optional[List[int]] = None
         self.cell = 0
 
     def bind(self, value) -> str:
@@ -211,10 +203,6 @@ class _Source:
 
     def emit(self, depth: int, line: str) -> None:
         self.lines.append("    " * depth + line)
-
-    def reg(self, i: int) -> str:
-        """Register ``i``: a local in a types-proven body, else ``r[i]``."""
-        return f"r[{i}]" if self.spills is None else f"r{i}"
 
     # -- per-instruction emitters -------------------------------------------
 
@@ -247,67 +235,52 @@ class _Source:
     def generic(self, d: int, pc: int, n: int) -> None:
         self.guarded(d, n, [f"{self.bind(self.steps[pc])}(r, frame)"])
 
-    def ints(self, d: int, n: int, name: str, *regs: int) -> List[str]:
-        """Spellings of the int operands ``regs`` of opcode ``name``.
-
-        Unless types are proven, each is loaded into ``x``/``y`` and
-        goes through ``ri`` off the ``type(x) is int`` fast path.
-        """
-        if self.spills is not None:
-            return [self.reg(i) for i in regs]
+    def ints(self, d: int, n: int, name: str, *regs: int) -> None:
+        """Load the int operands ``regs`` of opcode ``name`` into
+        ``x``/``y``, through ``ri`` off the ``type(x) is int`` fast path."""
         temps = ["x", "y"][: len(regs)]
         for t, i in zip(temps, regs):
             self.emit(d, f"{t} = r[{i}]")
         self.emit(d, "if " + " or ".join(f"type({t}) is not int" for t in temps) + ":")
         self.guarded(d + 1, n, [f"{t} = ri({t}, {name!r})" for t in temps])
-        return temps
 
     def instr(self, d: int, pc: int, n: int, k: int) -> None:
         ins = self.instrs[pc]
         op = ins.op
-        proven = self.spills is not None
         if op is Op.CONST:
-            self.emit(d, f"{self.reg(ins.dst)} = {self.lit(ins.value)}")
+            self.emit(d, f"r[{ins.dst}] = {self.lit(ins.value)}")
         elif op is Op.MOVE:
-            self.emit(d, f"{self.reg(ins.dst)} = {self.reg(ins.a)}")
+            self.emit(d, f"r[{ins.dst}] = r[{ins.a}]")
         elif op is Op.NOP:
             pass
         elif op in _BINARY:
-            x, y = self.ints(d, n, _ARITH[op][0], ins.a, ins.b)
-            self.emit(d, f"v = ({_BINARY[op].format(x=x, y=y)}) & 0xFFFFFFFF")
-            self.emit(d, f"{self.reg(ins.dst)} = {_WRAP}")
+            self.ints(d, n, _ARITH[op][0], ins.a, ins.b)
+            self.emit(d, f"v = ({_BINARY[op]}) & 0xFFFFFFFF")
+            self.emit(d, f"r[{ins.dst}] = {_WRAP}")
         elif op in _LITERAL and type(ins.value) is int:
-            (x,) = self.ints(d, n, _ARITH_LIT[op][0], ins.a)
-            self.emit(d, f"v = ({x} {_LITERAL[op]} ({ins.value!r})) & 0xFFFFFFFF")
-            self.emit(d, f"{self.reg(ins.dst)} = {_WRAP}")
+            self.ints(d, n, _ARITH_LIT[op][0], ins.a)
+            self.emit(d, f"v = (x {_LITERAL[op]} ({ins.value!r})) & 0xFFFFFFFF")
+            self.emit(d, f"r[{ins.dst}] = {_WRAP}")
         elif op in _ORDER:
-            x, y = self.ints(d, n, op.value, ins.a, ins.b)
-            self.emit(d, f"if {x} {_ORDER[op]} {y}:")
+            self.ints(d, n, op.value, ins.a, ins.b)
+            self.emit(d, f"if x {_ORDER[op]} y:")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_EQ or op is Op.IF_NE:
-            if proven:
-                test = f"{self.reg(ins.a)} == {self.reg(ins.b)}"
-            else:
-                self.emit(d, f"x = r[{ins.a}]")
-                self.emit(d, f"y = r[{ins.b}]")
-                test = "x == y if type(x) is int and type(y) is int else eq(x, y)"
+            self.emit(d, f"x = r[{ins.a}]")
+            self.emit(d, f"y = r[{ins.b}]")
+            test = "x == y if type(x) is int and type(y) is int else eq(x, y)"
             self.emit(d, f"if {test}:" if op is Op.IF_EQ else f"if not ({test}):")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_EQZ or op is Op.IF_NEZ:
-            if proven:
-                x = self.reg(ins.a)
-                test = f"{x} == 0" if op is Op.IF_EQZ else f"{x} != 0"
+            self.emit(d, f"x = r[{ins.a}]")
+            if op is Op.IF_EQZ:
+                self.emit(d, "if x == 0 if type(x) is int else not truthy(x):")
             else:
-                self.emit(d, f"x = r[{ins.a}]")
-                if op is Op.IF_EQZ:
-                    test = "x == 0 if type(x) is int else not truthy(x)"
-                else:
-                    test = "x != 0 if type(x) is int else truthy(x)"
-            self.emit(d, f"if {test}:")
+                self.emit(d, "if x != 0 if type(x) is int else truthy(x):")
             self.jump(d + 1, ins.target, k)
         elif op is Op.IF_LTZ or op is Op.IF_GEZ:
-            (x,) = self.ints(d, n, op.value, ins.a)
-            self.emit(d, f"if {x} < 0:" if op is Op.IF_LTZ else f"if {x} >= 0:")
+            self.ints(d, n, op.value, ins.a)
+            self.emit(d, "if x < 0:" if op is Op.IF_LTZ else "if x >= 0:")
             self.jump(d + 1, ins.target, k)
         elif op is Op.GOTO:
             self.jump(d, ins.target, k)
@@ -399,49 +372,36 @@ class _Source:
             loops[head] = end
         return loops
 
-    def int_only(self, head: int, end: int) -> Optional[Tuple[List[int], List[int]]]:
-        """(read, written) registers of the loop ``[head, end]`` when all
-        of it is int-only register work that cannot raise, else None."""
-        reads, writes = set(), set()
-        for k in range(head, end + 1):
-            for pc in self.blocks[k]:
-                ins = self.instrs[pc]
-                op = ins.op
-                if op not in _INT_WORK and not (
-                    (op is Op.CONST or op in _LITERAL) and type(ins.value) is int
-                ):
-                    return None
-                if ins.target is not None and self.block_of.get(ins.target) is None:
-                    return None
-                reads.update(ins.reads())
-                writes.update(ins.writes())
-        if not all(0 <= i < self.registers for i in reads | writes):
+    def counted(self, head: int, end: int) -> Optional[Tuple[int, int, List[int], int]]:
+        """(i, n, accumulators, exit block) when the simple loop
+        ``[head, end]`` is a counted loop (see module docstring)."""
+        body = [self.instrs[pc] for k in range(head, end + 1) for pc in self.blocks[k]]
+        if len(body) < 3:
             return None
-        return sorted(reads), sorted(writes)
-
-    def spill(self, d: int) -> None:
-        """Leave a types-proven body: registers and budget back to the
-        frame, and the instructions run since entry into ``cost``."""
-        for i in self.spills:
-            self.emit(d, f"r[{i}] = r{i}")
-        self.emit(d, "cost += cell[0] - budget")
-        self.emit(d, "cell[0] = budget")
+        test, *adds, step, back = body
+        i, n = test.a, test.b
+        out = self.block_of.get(test.target)
+        if test.op is not Op.IF_GE or out is None or out <= end or back.op is not Op.GOTO:
+            return None
+        if not (step.op is Op.ADD_LIT and step.dst == step.a == i
+                and type(step.value) is int and step.value == 1):
+            return None
+        if not all(ins.op is Op.ADD and ins.dst == ins.a and ins.b == i for ins in adds):
+            return None
+        accs = [ins.dst for ins in adds]
+        regs = {i, n, *accs}
+        if len(regs) != len(accs) + 2 or not all(0 <= x < self.registers for x in regs):
+            return None
+        return i, n, accs, out
 
     def block(self, d: int, k: int) -> None:
         block = self.blocks[k]
         size = len(block)
-        if self.spills is None:
-            self.emit(d, f"c = cell[0] - {size}")
-            self.emit(d, "if c < 0:")
-            self.emit(d + 1, f"short({k}, r, frame)")
-            self.emit(d, "cell[0] = c")
-            self.emit(d, f"cost += {size}")
-        else:
-            self.emit(d, f"budget -= {size}")
-            self.emit(d, "if budget < 0:")
-            self.emit(d + 1, f"budget += {size}")
-            self.spill(d + 1)
-            self.emit(d + 1, f"short({k}, r, frame)")
+        self.emit(d, f"c = cell[0] - {size}")
+        self.emit(d, "if c < 0:")
+        self.emit(d + 1, f"short({k}, r, frame)")
+        self.emit(d, "cell[0] = c")
+        self.emit(d, f"cost += {size}")
         for pos, pc in enumerate(block):
             self.instr(d, pc, size - pos - 1, k)
 
@@ -454,20 +414,28 @@ class _Source:
             self.emit(d + 1, "break")  # the back edge was not taken
         self.inner = None
 
-    def proven_loop(self, d: int, head: int, end: int, reads, writes) -> None:
-        """An int-only loop: the types-proven body when every register
-        it reads holds an exact int on entry, else the checked one."""
-        for i in sorted({*reads, *writes}):
-            self.emit(d, f"r{i} = r[{i}]")
-        guard = " and ".join(f"type(r{i}) is int" for i in reads) or "True"
-        self.emit(d, f"if {guard}:")
-        self.emit(d + 1, "budget = cell[0]")
-        self.spills = writes
-        self.loop(d + 1, head, end)
-        self.spill(d + 1)
-        self.spills = None
-        self.emit(d, "else:")
-        self.loop(d + 1, head, end)
+    def closed_form(self, d: int, i: int, n: int, accs: List[int], out: int) -> None:
+        """A counted loop's exit values, its charge and ``b = out`` in
+        one step when its entry check and budget allow; ``b`` is left
+        alone otherwise."""
+        self.emit(d, f"x = r[{i}]")
+        self.emit(d, f"y = r[{n}]")
+        ints = "".join(f" and type(r[{a}]) is int" for a in accs)
+        self.emit(d, f"if type(x) is int and type(y) is int{ints}"
+                     " and -0x80000000 <= x and y <= 0x7FFFFFFF:")
+        self.emit(d + 1, f"c = {len(accs) + 3} * (y - x) + 1 if x < y else 1")
+        self.emit(d + 1, "if cell[0] >= c:")
+        self.emit(d + 2, "cell[0] -= c")
+        self.emit(d + 2, "cost += c")
+        self.emit(d + 2, "if x < y:")
+        self.emit(d + 3, "m = y - x")
+        if accs:
+            self.emit(d + 3, "s = m * x + m * (m - 1) // 2")
+        for a in accs:
+            self.emit(d + 3, f"v = (r[{a}] + s) & 0xFFFFFFFF")
+            self.emit(d + 3, f"r[{a}] = {_WRAP}")
+        self.emit(d + 3, f"r[{i}] = y")
+        self.emit(d + 2, f"b = {out}")
 
     def generate(self, fell_off: str) -> str:
         d = 4
@@ -480,11 +448,13 @@ class _Source:
                 self.block(d, k)
                 k += 1
                 continue
-            regs = self.int_only(k, end)
-            if regs is None:
+            counted = self.counted(k, end)
+            if counted is None:
                 self.loop(d, k, end)
             else:
-                self.proven_loop(d, k, end, *regs)
+                self.closed_form(d, *counted)
+                self.emit(d, f"if b <= {k}:")
+                self.loop(d + 1, k, end)
             k = end + 1
         self.emit(d - 1, f"raise VMCrash({self.bind(fell_off)})")
         body = self.lines

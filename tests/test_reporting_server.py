@@ -1,6 +1,7 @@
 """Ingestion service: dedup, replay, sliding window, backpressure, bounds."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -264,3 +265,55 @@ class TestBoundedState:
     def test_unknown_app_verdict_raises(self):
         with pytest.raises(ReportingError):
             make_server().verdict("Nope")
+
+
+class TestGauges:
+    def test_gauges_equal_the_recount_after_every_step(self, attest_key):
+        """A seeded run of submit, resend, process and verdict on a
+        short window, a small dedup window and two tracked keys per
+        shard: after every step both gauges equal a full recount, and
+        each high water is the maximum of the recounts after accepted
+        submits and ``process`` calls, where a recount used to run."""
+        rng = random.Random(5)
+        policy = TakedownPolicy(window_seconds=30.0, max_tracked_keys=2)
+        server = make_server(
+            shards=3, dedup_window=6, max_report_age=10_000.0, policy=policy
+        )
+        server.register_app("Chess", "cc" * 20)
+        queue = server.metrics.gauge("reporting.queue_depth")
+        tracked = server.metrics.gauge("reporting.tracked_state")
+        sent = []
+        high = {"queue": 0, "tracked": 0}
+        clock = 0.0
+        steps = {"submit": 0, "resend": 0, "process": 0, "verdict": 0, "pruned": 0}
+        for nonce in range(300):
+            step = rng.choice(["submit"] * 4 + ["resend", "process", "verdict"])
+            recount = False
+            if step == "submit":
+                clock += rng.choice([0.5, 2.0, 9.0])
+                signed = make_signed(
+                    attest_key, device=f"d{rng.randrange(12)}",
+                    key=rng.choice([PIRATE, "dd" * 20, "ee" * 20, ORIGINAL]),
+                    ts=clock, nonce=nonce, app=rng.choice(["Game", "Chess"]),
+                )
+                sent.append(signed)
+                recount = server.submit(signed) is SubmitStatus.ACCEPTED
+            elif step == "resend" and sent:
+                # Accepted again once its nonce has left the dedup window.
+                recount = server.submit(rng.choice(sent)) is SubmitStatus.ACCEPTED
+            elif step == "process":
+                server.process(rng.choice([None, 1, 3]))
+                recount = True
+            elif step == "verdict":
+                before = server.tracked_state_size()
+                server.verdict(rng.choice(["Game", "Chess"]))
+                steps["pruned"] += server.tracked_state_size() < before
+            steps[step] += 1
+            assert queue.value == server.queue_depth(), (nonce, step)
+            assert tracked.value == server.tracked_state_size(), (nonce, step)
+            if recount:
+                high["queue"] = max(high["queue"], server.queue_depth())
+                high["tracked"] = max(high["tracked"], server.tracked_state_size())
+        assert (queue.high_water, tracked.high_water) == (high["queue"], high["tracked"])
+        # The run reached every kind of step, verdict pruning included.
+        assert min(steps.values()) > 0, steps

@@ -9,9 +9,10 @@ the full run, and both must agree on the result or exception (type and
 message), the instructions consumed, the cost units and the statics.
 A second test warms a method onto tier-2, splices a slice of another
 generated method into it with ``MethodEditor`` and diffs the runs of
-the edited body the same way.  A third draws loops made only of the
-opcodes tier-2 runs with registers in locals, and checks that its
-types-proven body both runs and agrees.
+the edited body the same way.  A third draws simple loops of int-only
+register work, which tier-2 runs as checked inner loops.  A fourth
+draws counted loops, whose exit values tier-2 computes in closed form,
+and checks that the closed form both runs and agrees.
 """
 
 from __future__ import annotations
@@ -25,7 +26,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.verifier import verify_method
+from repro.core import ResponseKind
 from repro.core.instrumenter import MethodEditor
+from repro.core.responses import SLOWDOWN_ITERATIONS, emit_response
 from repro.dex import assemble, assemble_method, instructions as ins
 from repro.dex.builder import MethodBuilder
 from repro.dex.instructions import Instr
@@ -257,9 +260,10 @@ def _tier2_from_first_call():
         tier2.WARM_INSTRUCTIONS = saved
 
 
-def _agrees_at_every_budget(program, args, edit=None):
-    """Diff tier-2 against the oracle; with ``edit``, first warm the
-    method onto tier-2, then apply ``edit(MethodEditor)`` in both."""
+def _agrees_at_every_budget(program, args, edit=None, full=FULL):
+    """Diff tier-2 against the oracle at every budget up to ``full``;
+    with ``edit``, first warm the method onto tier-2, then apply
+    ``edit(MethodEditor)`` in both."""
     ref = _runtime(reference_runtime, program)
     fast = _runtime(Runtime, program)
     with _tier2_from_first_call():
@@ -270,9 +274,9 @@ def _agrees_at_every_budget(program, args, edit=None):
             for runtime in (ref, fast):
                 edit(MethodEditor(runtime.find_method("G.main"), label_ns="s"))
             assert main._compiled is None
-        full = _outcome(ref, args, FULL)
-        assert _outcome(fast, args, FULL) == full
-        for budget in range(1, min(full[2] + 1, FULL) + 1):
+        whole = _outcome(ref, args, full)
+        assert _outcome(fast, args, full) == whole
+        for budget in range(1, min(whole[2] + 1, full) + 1):
             assert _outcome(fast, args, budget) == _outcome(ref, args, budget), budget
     assert fast.find_method("G.main")._compiled.tier2 is not None
 
@@ -337,19 +341,18 @@ def test_tier2_matches_reference_after_a_splice(program, donor, args, data):
     _agrees_at_every_budget(program, args[: program[2]], edit)
 
 
-#: Entry values of an int-only loop's registers: exact ints most often,
-#: so the types-proven body runs in a clear share of the examples, and
-#: bools, ``None``, strings and ints outside 32 bits for the fallback.
+#: Entry values of a loop's registers: exact ints most often, and
+#: bools, ``None``, strings and ints outside 32 bits.
 ENTRY = st.one_of(st.integers(-3, 12), INTS, STRS)
 
 
 @st.composite
 def int_loops(draw):
     """(instructions, registers, params, False) of a ``G.main`` whose one
-    simple loop holds only int-only opcodes: int CONSTs, MOVE, NOP, the
-    eight register binops, int-literal binops, compares and GOTO.  Its
-    conditional exits leave for ``@out``; its back edge is a GOTO or a
-    compare, whose fall-through is an exit too."""
+    simple loop holds only int CONSTs, MOVE, NOP, the eight register
+    binops, int-literal binops, compares and GOTO.  Its conditional
+    exits leave for ``@out``; its back edge is a GOTO or a compare,
+    whose fall-through is an exit too."""
     params = draw(st.integers(0, 2))
     b = MethodBuilder("G", "main", params=params)
     R = list(range(params)) + b.regs(3)
@@ -389,13 +392,90 @@ def int_loops(draw):
     return method.instructions, method.registers, params, False
 
 
-def _ran_types_proven(run):
-    """Call ``run()``; True when a tier-2 frame bound ``budget``, the
-    local that only an int-only loop's types-proven body binds."""
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(program=int_loops(), args=st.lists(ENTRY, min_size=2, max_size=2))
+def test_int_only_loops_match_reference_at_every_budget(program, args):
+    _agrees_at_every_budget(program, args[: program[2]])
+
+
+#: Counter entry values at the low edge of the closed form's entry check
+#: (-2**31 - 2 is the first whose increment wraps), and bound values at
+#: its high edge (from 2**31 the counter wraps before reaching it).
+LOW = st.sampled_from([-(2**31), -(2**31) - 1, -(2**31) - 2])
+HIGH = st.sampled_from([2**31 - 1, 2**31])
+
+#: Int entry values of an accumulator, small or of any size.
+ACCUMULATED = st.one_of(st.integers(-50, 50), st.integers(-(2**40), 2**40))
+
+#: Budget of a counted loop's full run: covers 40 trips of 6
+#: instructions and the code around them.
+COUNTED_FULL = 280
+
+
+@st.composite
+def counted_loops(draw):
+    """(instructions, registers, params, False) of a ``G.main`` around
+    one loop ``if_ge i, n, @out; add a, a, i (0-3 times); add_lit i, i,
+    1; goto``, returning all its registers.  The entry values put
+    ``n`` 0-40 above an int ``i`` (small, at the low edge or
+    ``-2**40``), or ``n`` at the high edge and ``i`` 0-40 below it, or
+    draw both freely.  In a quarter of the loops with accumulators one of them
+    aliases ``i``, ``n`` or another accumulator: not a counted loop."""
+    b = MethodBuilder("G", "main", params=0)
+    regs = b.regs(5)
+    i, n, *pool = draw(st.permutations(regs))
+    accs = pool[: draw(st.integers(0, 3))]
+    if accs and draw(st.integers(0, 3)) == 0:
+        accs[draw(st.integers(0, len(accs) - 1))] = draw(st.sampled_from([i, n, *accs]))
+    trips = draw(st.integers(0, 40))
+    shape = draw(st.sampled_from(["above"] * 4 + ["high", "free"]))
+    if shape == "above":
+        start = draw(draw(st.sampled_from([st.integers(-50, 50)] * 2 + [LOW, st.just(-(2**40))])))
+        bound = start + trips
+    elif shape == "high":
+        bound = draw(HIGH)
+        start = bound - trips
+    else:
+        start = draw(st.one_of(ENTRY, LOW))
+        bound = draw(st.one_of(ENTRY, HIGH))
+    b.const(i, start)
+    b.const(n, bound)
+    # In most loops every accumulator holds an int of any size.
+    values = draw(st.sampled_from([ACCUMULATED] * 3 + [ENTRY]))
+    for a in dict.fromkeys(accs):
+        if a not in (i, n):
+            b.const(a, draw(values))
+    b.label("top")
+    b.emit(ins.if_ge(i, n, "out"))
+    for a in accs:
+        b.emit(ins.binop(Op.ADD, a, a, i))
+    b.emit(ins.binop_lit(Op.ADD_LIT, i, i, 1))
+    b.emit(ins.goto("top"))
+    b.label("out")
+    # Return every register, in an array.
+    array, index = b.reg(), b.const_new(len(regs))
+    b.new_array(array, index)
+    for k, reg in enumerate(regs):
+        b.const(index, k)
+        b.emit(ins.aput(reg, array, index))
+    b.emit(ins.ret(array))
+    method = b.build()
+    return method.instructions, method.registers, 0, False
+
+
+def _ran_closed_form(run):
+    """Call ``run()``; True when a tier-2 frame bound ``m``, the local
+    only a counted loop's closed form binds, after it charged the loop
+    and found at least one trip."""
     seen = []
 
     def local(frame, event, arg):
-        if event == "return" and "budget" in frame.f_locals:
+        if event == "return" and "m" in frame.f_locals:
             seen.append(True)
         return local
 
@@ -414,10 +494,10 @@ def _ran_types_proven(run):
     return bool(seen)
 
 
-def test_int_only_loops_match_reference_at_every_budget():
-    """Every drawn loop gets a types-proven body; it runs in a clear
-    share of the examples, and both bodies agree with the oracle."""
-    proven = []
+def test_counted_loops_match_reference_at_every_budget():
+    """Drawn counted loops agree with the oracle at every budget, and
+    the closed form runs in at least a quarter of the examples."""
+    closed = []
 
     @settings(
         max_examples=80,
@@ -425,17 +505,39 @@ def test_int_only_loops_match_reference_at_every_budget():
         derandomize=True,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     )
-    @given(program=int_loops(), args=st.lists(ENTRY, min_size=2, max_size=2))
-    def check(program, args):
-        args = args[: program[2]]
-        _agrees_at_every_budget(program, args)
+    @given(program=counted_loops())
+    def check(program):
+        _agrees_at_every_budget(program, [], full=COUNTED_FULL)
         fast = _runtime(Runtime, program)
         with _tier2_from_first_call():
-            proven.append(_ran_types_proven(lambda: _outcome(fast, args, FULL)))
-        assert "budget" in fast.find_method("G.main")._compiled.tier2.__code__.co_varnames
+            closed.append(_ran_closed_form(lambda: _outcome(fast, [], COUNTED_FULL)))
 
     check()
-    assert sum(proven) >= len(proven) // 4, (sum(proven), len(proven))
+    assert sum(closed) >= len(closed) // 4, (sum(closed), len(closed))
+
+
+def test_slowdown_loop_runs_in_closed_form():
+    """The SLOWDOWN response's busy loop, as the instrumenter emits it:
+    the closed form runs, and tier-2 agrees with the oracle at the full
+    budget and at every budget near the loop's start and end."""
+    b = MethodBuilder("G", "main", params=0)
+    emit_response(b, ResponseKind.SLOWDOWN, "b0", "G", "App")
+    method = b.build()
+    counter = next(i for i in method.instructions if i.op is Op.IF_GE).a
+    b.emit(ins.ret(counter))
+    method = b.build()
+    program = (method.instructions, method.registers, 0, False)
+    ref = _runtime(reference_runtime, program)
+    fast = _runtime(Runtime, program)
+    # The loop's three instructions per trip and its last test, plus
+    # one of each instruction outside it.
+    total = 3 * SLOWDOWN_ITERATIONS + 1 + sum(i.op is not Op.LABEL for i in method.instructions) - 3
+    budgets = [*range(1, 12), *range(total - 8, total + 3), 10**6]
+    with _tier2_from_first_call():
+        assert _ran_closed_form(lambda: _outcome(fast, [], 10**6))
+        assert _outcome(fast, [], 10**6)[:3] == ("ok", repr(SLOWDOWN_ITERATIONS), total)
+        for budget in budgets:
+            assert _outcome(fast, [], budget) == _outcome(ref, [], budget), budget
 
 
 #: Loops tier-2 must not run as simple inner loops: one is entered in
