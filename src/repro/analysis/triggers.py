@@ -513,10 +513,19 @@ def compute_summaries(
                     summary.sink_depth = callee_summary.sink_depth + 1
                     changed = True
 
-    # Return taint (bounded passes; tag sets only grow).
+    # Return taint (bounded passes; tag sets only grow).  A walk reads
+    # only its callees' return tags, so a method whose callees' versions
+    # (bumped on every growth) match its last walk would get the same
+    # tags again -- or raise again -- and is skipped.
+    versions = dict.fromkeys(methods, 0)
+    walked: Dict[str, Tuple[int, ...]] = {}
     for _ in range(_SUMMARY_PASSES):
         changed = False
         for name, method in methods.items():
+            inputs = tuple(versions[callee] for callee in callees[name])
+            if walked.get(name) == inputs:
+                continue
+            walked[name] = inputs
             try:
                 walker = _TaintWalker(method, summaries)
                 walker.run()
@@ -525,6 +534,7 @@ def compute_summaries(
                 continue
             if tags - summaries[name].return_tags:
                 summaries[name].return_tags |= tags
+                versions[name] += 1
                 changed = True
         if not changed:
             break

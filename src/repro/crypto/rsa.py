@@ -1,4 +1,4 @@
-"""Textbook RSA signing for the APK model.
+"""RSA signing for the APK model, private-key operations in CRT form.
 
 Android app signing only matters here through key *identity*: a
 repackaged app is re-signed with a different key pair, so the public key
@@ -9,6 +9,14 @@ attack suite exercise.
 
 Keys default to 512 bits -- fast to generate in pure Python, and the
 security of the reproduction does not rest on factoring hardness.
+
+:meth:`RSAKeyPair.sign` works modulo the two primes (Chinese remainder
+theorem): two half-size exponentiations with ``d mod (p-1)`` and
+``d mod (q-1)``, joined by Garner's recombination.  The signature is
+the textbook ``pow(x, d, n)`` bit for bit at well under half the cost,
+and the cost matters: every pirated install that detonates a bomb signs
+a report on the device.  The textbook form survives only as the oracle
+in ``tests/test_crypto_rsa_kdf.py``.
 """
 
 from __future__ import annotations
@@ -60,24 +68,6 @@ def generate_prime(bits: int, rng: random.Random) -> int:
         candidate = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
         if is_probable_prime(candidate):
             return candidate
-
-
-def _modinv(a: int, m: int) -> int:
-    """Modular inverse via extended Euclid."""
-    g, x = _egcd(a % m, m)
-    if g != 1:
-        raise CryptoError("modular inverse does not exist")
-    return x % m
-
-
-def _egcd(a: int, b: int) -> tuple:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    return old_r, old_s
 
 
 @dataclass(frozen=True)
@@ -134,6 +124,11 @@ class RSAKeyPair:
 
     public: RSAPublicKey
     d: int
+    p: int
+    q: int
+    dp: int  # d mod (p-1)
+    dq: int  # d mod (q-1)
+    qinv: int  # q^-1 mod p
 
     @classmethod
     def generate(cls, bits: int = 512, seed: int = None) -> "RSAKeyPair":
@@ -149,9 +144,15 @@ class RSAKeyPair:
             if phi % e == 0:
                 continue
             n = p * q
-            d = _modinv(e, phi)
-            return cls(public=RSAPublicKey(n=n, e=e), d=d)
+            d = pow(e, -1, phi)
+            return cls(
+                public=RSAPublicKey(n=n, e=e), d=d, p=p, q=q,
+                dp=d % (p - 1), dq=d % (q - 1), qinv=pow(q, -1, p),
+            )
 
     def sign(self, message: bytes) -> int:
         """Sign sha1(message) -- used over the APK content digest."""
-        return pow(_encode_digest(message, self.public.n), self.d, self.public.n)
+        x = _encode_digest(message, self.public.n)
+        m1 = pow(x, self.dp, self.p)
+        m2 = pow(x, self.dq, self.q)
+        return m2 + (self.qinv * (m1 - m2) % self.p) * self.q

@@ -17,6 +17,7 @@ from repro.analysis.triggers import (
     compute_summaries,
     guard_entropy_bits,
 )
+from repro.corpus import build_app
 from repro.dex import DexClass, DexFile, assemble_method, instructions as ins
 from repro.dex.instructions import Instr
 from repro.dex.model import DexMethod
@@ -314,6 +315,31 @@ class TestInterprocedural:
             )
             seen.add(out.stdout.strip())
         assert seen == {"android.pm.get_method_hash 3.0 1"}
+
+    def test_no_method_is_walked_twice_on_the_same_callee_tags(self, monkeypatch):
+        # A return-taint walk reads only its callees' return tags, so a
+        # second walk on unchanged callee tags cannot change anything.
+        from repro.analysis import triggers
+
+        walks = []
+
+        class Recording(triggers._TaintWalker):
+            def run(self):
+                callees = sorted({
+                    instr.value for instr in self.method.instructions
+                    if instr.op is Op.INVOKE and instr.value in self.summaries
+                })
+                walks.append((
+                    self.method.qualified_name,
+                    tuple(self.summaries[c].return_tags for c in callees),
+                ))
+                return super().run()
+
+        monkeypatch.setattr(triggers, "_TaintWalker", Recording)
+        compute_summaries(build_app("Walk", category="Security", seed=1, scale=0.25).dex)
+        assert len(set(walks)) == len(walks)
+        # The fixpoint did need second walks, so the check has teeth.
+        assert len(walks) > len({name for name, _ in walks})
 
 
 class TestScoring:

@@ -12,6 +12,7 @@ from repro.crypto import (
     hash_constant,
     is_probable_prime,
 )
+from repro.crypto.rsa import _encode_digest
 from repro.errors import CryptoError
 
 
@@ -61,6 +62,46 @@ def test_public_key_rejects_malformed_blob():
 
 def test_deterministic_generation():
     assert RSAKeyPair.generate(seed=7).public == RSAKeyPair.generate(seed=7).public
+
+
+def _textbook_sign(key, message):
+    """The oracle: one exponentiation by the full ``d`` modulo ``n``."""
+    return pow(_encode_digest(message, key.public.n), key.d, key.public.n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    bits=st.sampled_from([16, 64, 512]),
+    message=st.binary(max_size=64),
+)
+def test_crt_sign_equals_textbook(seed, bits, message):
+    key = RSAKeyPair.generate(bits=bits, seed=seed)
+    signature = key.sign(message)
+    assert signature == _textbook_sign(key, message)
+    assert key.public.verify(message, signature)
+
+
+# Signatures of RSAKeyPair.generate(seed=7000), recorded under the
+# textbook signer: the CRT form must reproduce them bit for bit.
+_SEED_7000_SIGNATURES = {
+    b"manifest contents": int(
+        "52951823265319653761359279475643438200516288895452591813341696965519"
+        "26599753484193108047086170172481630233057304289195631405396424405465"
+        "905809470707742359"
+    ),
+    b"": int(
+        "10258659690425552437057323903520579835411767957552707616216260233582"
+        "89480306356438749071571877072140451016718909028670943748979301723992"
+        "6901298431962844748"
+    ),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_SEED_7000_SIGNATURES))
+def test_signature_pins(message):
+    key = RSAKeyPair.generate(seed=7000)
+    assert key.sign(message) == _SEED_7000_SIGNATURES[message]
 
 
 @pytest.mark.parametrize("prime", [2, 3, 5, 7, 101, 65537, 2**31 - 1])

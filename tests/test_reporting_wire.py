@@ -61,6 +61,25 @@ def _report(**overrides):
     return DetectionReport(**base)
 
 
+# The default report signed with RSAKeyPair.generate(seed=31), recorded
+# under the textbook signer: the device-side report bytes must not move.
+_PINNED_SIGNATURE = int(
+    "22495809274355161004892806388906935471536545869661604657571158665750"
+    "70193022323988404066802170654909313873395532452333041548057030887414"
+    "105392925007811481"
+)
+_PINNED_FRAME = bytes.fromhex(
+    "445250540000006201000447616d65000462303037000d6465762d3030303030"
+    "3030343200286162616261626162616261626162616261626162616261626162"
+    "6162616261626162616261626162000a7075626c69635f6b6579405ee0000000"
+    "00000000deadbeefcafe004600408154b0331aa4ff08f48abfe7c848fa2963ca"
+    "2a7a50950861f8085acbab6060f0175c73fd8a5c0d52a2f8041c9870e0eed422"
+    "3270fa8e8a3c315e14e7568b64a70001000100402af3b8f75ed23525dd308878"
+    "5cf430c1545c2b07fa5d47c0d05b8399300bc6092b1b9e49ea165741b9ad858e"
+    "36867a4905bee41501685f7e9faabeb127061399"
+)
+
+
 class TestBinaryCodec:
     def test_round_trip(self, attest_key):
         signed = sign_report(_report(), attest_key)
@@ -130,6 +149,11 @@ class TestSignature:
         other = RSAKeyPair.generate(seed=32)
         swapped = dataclasses.replace(signed, attestation_key=other.public)
         assert not swapped.verify()
+
+    def test_signed_report_bytes_are_pinned(self, attest_key):
+        signed = sign_report(_report(), attest_key)
+        assert signed.signature == _PINNED_SIGNATURE
+        assert encode_report(signed) == _PINNED_FRAME
 
     def test_canonical_bytes_deterministic(self):
         assert canonical_bytes(_report()) == canonical_bytes(_report())
