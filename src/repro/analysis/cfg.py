@@ -3,8 +3,9 @@ forward worklist solver, and the basic-block graph built on them.
 
 :func:`instruction_successors` is the only place that decides which
 pcs can follow an instruction; the verifier, the HSO walker, liveness
-and :func:`build_cfg` all read control flow from it.  A branch to an
-undefined label raises :class:`~repro.errors.DexError`, as
+and :func:`build_cfg` all read control flow from it, through
+:func:`method_successors`, which memoises it on the method.  A branch
+to an undefined label raises :class:`~repro.errors.DexError`, as
 :meth:`DexMethod.resolve` does, and so does a switch table that is no
 dict.
 
@@ -17,6 +18,7 @@ something may jump to it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.dex.instructions import Instr
@@ -56,6 +58,31 @@ def instruction_successors(
             successors.append(pc + 1)
         out.append(tuple(dict.fromkeys(successors)))
     return out
+
+
+def method_successors(method: DexMethod) -> List[Tuple[int, ...]]:
+    """:func:`instruction_successors` of ``method`` under its label
+    map, memoised on the method.
+
+    The memo is served only while the label map is the one it was
+    computed under and ``method.instructions`` still holds the very
+    ``Instr`` objects it was computed from (checked by identity), so an
+    edit that swaps an instruction without :meth:`DexMethod.invalidate`
+    never reads a stale relation.  Callers must not mutate the result.
+    """
+    labels = method.label_map()
+    instructions = method.instructions
+    memo = method._successors
+    if (
+        memo is not None
+        and memo[0] is labels
+        and len(memo[1]) == len(instructions)
+        and all(map(is_, memo[1], instructions))
+    ):
+        return memo[2]
+    successors = instruction_successors(instructions, labels)
+    method._successors = (labels, tuple(instructions), successors)
+    return successors
 
 
 def solve_forward(
@@ -141,7 +168,7 @@ def build_cfg(method: DexMethod) -> ControlFlowGraph:
     instructions = method.instructions
     if not instructions:
         raise AnalysisError(f"{method.qualified_name}: empty method")
-    successors = instruction_successors(instructions, method.label_map())
+    successors = method_successors(method)
 
     # Leaders: entry, every label marker, and every fall-through after a
     # terminator.

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Set, Tuple
 
-from repro.analysis.cfg import instruction_successors
+from repro.analysis.cfg import method_successors
 from repro.dex.instructions import Instr
 from repro.dex.model import DexMethod
 
@@ -68,7 +68,7 @@ def live_registers_for_region(
     liveness of the *target* pc, not of whatever instruction happens to
     sit at ``end`` textually.
     """
-    successors = instruction_successors(method.instructions, method.label_map())
+    successors = method_successors(method)
     live_in, _ = liveness(method.instructions, successors)
     entry_live = set(live_in[start]) if start < len(live_in) else set()
 

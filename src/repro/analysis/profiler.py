@@ -7,9 +7,12 @@ behind the ~2.6% overhead result.
 
 Like Traceview, the profiler counts method entries and traces no
 instruction: it sets the interpreter's ``invocation_counts`` for the
-event loop, so frames run untraced tier-1.  With no tracer attached,
-``bomb.probe("debugger")`` reads False while profiling, as on a user's
-device.
+event loop, so frames run untraced tier-1.  Being untraced, counted
+frames run counted loops in closed form (:mod:`repro.vm.dispatch`):
+the counts and the budget charged stay exact, and most profiled
+instructions are never interpreted one by one.  With no tracer
+attached, ``bomb.probe("debugger")`` reads False while profiling, as
+on a user's device.
 """
 
 from __future__ import annotations

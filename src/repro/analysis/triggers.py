@@ -57,7 +57,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 from repro.analysis.cfg import (
     BasicBlock,
     build_cfg,
-    instruction_successors,
+    method_successors,
     solve_forward,
 )
 from repro.analysis.dominators import control_dependence
@@ -285,7 +285,7 @@ class _TaintWalker:
             return []
         self.states = solve_forward(
             instructions,
-            instruction_successors(instructions, method.label_map()),
+            method_successors(method),
             tuple(_BOTTOM for _ in range(method.registers)),
             self._transfer,
             _join_state,

@@ -52,7 +52,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.cfg import instruction_successors, solve_forward
+from repro.analysis.cfg import method_successors, solve_forward
 from repro.dex.instructions import Instr
 from repro.dex.model import DexFile, DexMethod
 from repro.dex.opcodes import BINOPS, LIT_BINOPS, UNCONDITIONAL_EXITS, Op
@@ -196,7 +196,7 @@ class _MethodVerifier:
                     labels[instr.value] = pc
         return labels
 
-    def _check_structure(self) -> Dict[str, int]:
+    def _check_structure(self) -> None:
         method = self.method
         labels = self._scan_labels()
 
@@ -233,7 +233,6 @@ class _MethodVerifier:
                         )
                     elif label not in labels:
                         self.emit("dangling-label", f"undefined switch target {label!r}", pc)
-        return labels
 
     # -- dataflow pass ------------------------------------------------------
 
@@ -259,16 +258,19 @@ class _MethodVerifier:
             regs[instr.dst] = RegType.VALUE
         return tuple(regs)
 
-    def _run_dataflow(self, labels: Dict[str, int]) -> None:
+    def _run_dataflow(self) -> None:
         method = self.method
         instructions = method.instructions
         entry: RegState = tuple(
             RegType.VALUE if reg < method.params else RegType.UNINIT
             for reg in range(method.registers)
         )
+        # Structure passed: the method's label map (cached or built
+        # now) equals the fresh scan, and reading it lets the successor
+        # memo serve.
         states = solve_forward(
             instructions,
-            instruction_successors(instructions, labels),
+            method_successors(method),
             entry,
             self._transfer,
             _join_states,
@@ -346,11 +348,11 @@ class _MethodVerifier:
         if not self.method.instructions:
             self.emit("empty-method", "method has no instructions")
             return self.diagnostics
-        labels = self._check_structure()
+        self._check_structure()
         # Dataflow needs resolvable targets and in-range registers; bail
         # once structure is broken rather than masking the root cause.
         if not self._has_errors():
-            self._run_dataflow(labels)
+            self._run_dataflow()
         return self.diagnostics
 
 

@@ -56,6 +56,7 @@ class DexMethod:
                 f"{self.qualified_name}: registers={self.registers} < params={self.params}"
             )
         self._labels: Optional[Dict[str, int]] = None
+        self._successors = None  # successor relation (repro.analysis.cfg)
         self._compiled = None  # dispatch-table body (repro.vm.dispatch)
 
     @property
@@ -81,9 +82,10 @@ class DexMethod:
         return self._labels
 
     def invalidate(self) -> None:
-        """Drop caches (label map, compiled dispatch table) after
-        mutating ``instructions``."""
+        """Drop caches (label map, successor relation, compiled dispatch
+        table) after mutating ``instructions``."""
         self._labels = None
+        self._successors = None
         self._compiled = None
 
     def label_cache(self) -> Optional[Dict[str, int]]:

@@ -5,7 +5,7 @@ every execution: one long ``elif`` chain per step, label lookups per
 branch, and a method-table probe per INVOKE.  This module compiles a
 :class:`~repro.dex.model.DexMethod` once into a :class:`CompiledMethod`
 -- a flat table of *step closures*, one per real instruction -- that
-the driver loop indexes directly.  Two techniques, both semantics-free:
+the driver loop indexes directly.  Three techniques, all semantics-free:
 
 **Dispatch table.**  Each real instruction becomes a closure
 ``step(registers, frame) -> next_index`` with its operands, branch
@@ -26,6 +26,31 @@ guarded by the runtime's method-generation counter (a payload that
 framework must win the method-first dispatch, exactly as before).  The
 handler *function* is looked up live on every call -- caching it would
 blind ``bomb.probe("hooks")`` to handler-table swaps.
+
+**Counted loops.**  A loop whose head is ``if_ge i, n, @out``, followed
+by zero or more ``add a, a, i``, then ``add_lit i, i, 1`` (an exact int
+1), then a ``goto`` back to the head -- ``i``, ``n`` and every ``a``
+distinct registers of the method, ``@out`` past the ``goto`` -- is a
+counted loop: the corpus's filler loop and the SLOWDOWN response emit
+it.  :func:`compile_method` records one descriptor ``(i, n,
+accumulators, L, out)`` per counted loop in :attr:`CompiledMethod.loops`,
+and both tiers run it through :func:`counted_exit` whenever control
+reaches its head: tier-1 in every untraced frame (the profiler's
+counted frames included), tier-2 on entry to a counted simple loop.
+A run that starts at the head is fully determined by the registers and
+the budget, so tier-1 needs no condition on jumps into the body.  The
+closed form is entered only when ``i``, ``n`` and every ``a`` hold an
+exact ``int``, ``-2**31 <= i`` and ``n <= 2**31 - 1`` (so ``i`` never
+wraps), and the budget before the head's charge is at least ``L*m + 1``
+for ``m = n - i if i < n else 0`` trips of ``L`` instructions.  Then
+each ``a`` becomes ``wrap32(a + m*i + m*(m-1)//2)``, ``i`` becomes
+``n`` (when ``m > 0``), exactly ``L*m + 1`` instructions are charged
+and control continues at ``@out``.  In every other case the loop runs
+step by step, which owns budget exhaustion and type errors.  Tier-1
+charges the ``L*m`` trip instructions to the budget cell at once and
+to the frame's cost (and a tiered frame's warmth) when the frame
+ends, as if they had run.  A traced frame never takes the closed form,
+so tracers see every instruction.
 
 Compiled bodies are cached on the method (``method._compiled``) and
 dropped by the existing :meth:`DexMethod.invalidate` path, which every
@@ -98,7 +123,7 @@ class _Frame:
 
     __slots__ = (
         "interp", "runtime", "method", "tracer", "ctx", "budget",
-        "depth", "cells", "result",
+        "depth", "cells", "result", "closed",
     )
 
     def __init__(self, interp, runtime, method, tracer, ctx, budget, depth, cells):
@@ -111,6 +136,7 @@ class _Frame:
         self.depth = depth
         self.cells = cells
         self.result = None
+        self.closed = 0  # instructions charged by counted-loop closed forms
 
 
 class CompiledMethod:
@@ -118,21 +144,23 @@ class CompiledMethod:
 
     ``warmth`` counts the instructions its untraced, uncounted frames
     ran on the step table; ``tier2`` is the method's tier-2 function
-    once it is warm (:mod:`repro.vm.tier2`).
+    once it is warm (:mod:`repro.vm.tier2`).  ``loops`` maps the step
+    index of each counted loop's head to its descriptor.
     """
 
     __slots__ = (
         "steps", "orig_pcs", "orig_instrs", "count", "cell_count",
-        "exhausted", "warmth", "tier2",
+        "exhausted", "loops", "warmth", "tier2",
     )
 
-    def __init__(self, steps, orig_pcs, orig_instrs, cell_count, exhausted):
+    def __init__(self, steps, orig_pcs, orig_instrs, cell_count, exhausted, loops):
         self.steps = steps
         self.orig_pcs = orig_pcs          # compiled index -> original pc
         self.orig_instrs = orig_instrs    # compiled index -> original Instr
         self.count = len(steps)
         self.cell_count = cell_count      # inline-cache cells (one per INVOKE site)
         self.exhausted = exhausted        # precomputed BudgetExhausted message
+        self.loops = loops                # head index -> (i, n, accs, L, out)
         self.warmth = 0
         self.tier2 = None
 
@@ -620,6 +648,91 @@ def _make_invoke(instr, nxt, C):
 
 
 # ---------------------------------------------------------------------------
+# Counted loops
+# ---------------------------------------------------------------------------
+
+
+def counted_exit(regs, loop, budget):
+    """Run the counted loop ``loop`` from its head in one step.
+
+    ``budget`` is what the budget cell held before the head was
+    charged.  When the entry check passes (see module docstring), the
+    loop's exit values are written to ``regs`` and the ``L*m``
+    instructions of its ``m`` trips are returned: the caller charges
+    them and the head's final test, then continues at ``out``.
+    Otherwise ``regs`` is untouched and the result is None.
+    """
+    i, n, accs, size, _ = loop
+    x = regs[i]
+    y = regs[n]
+    if type(x) is not int or type(y) is not int or x < -0x80000000 or y > _INT32_MAX:
+        return None
+    for a in accs:
+        if type(regs[a]) is not int:
+            return None
+    if x >= y:
+        return 0 if budget >= 1 else None
+    m = y - x
+    trips = size * m
+    if budget <= trips:
+        return None
+    s = m * x + m * (m - 1) // 2
+    for a in accs:
+        v = (regs[a] + s) & _MASK
+        regs[a] = v - _WRAP if v > _INT32_MAX else v
+    regs[i] = y
+    return trips
+
+
+def _counted_loop(instrs, real, k, unit_for, registers):
+    """The descriptor ``(i, n, accumulators, L, out)`` of the counted
+    loop whose head is step ``k``, or None."""
+    test = instrs[real[k]]
+    i, n = test.a, test.b
+    j = k + 1
+    accs = []
+    while j < len(real):
+        ins = instrs[real[j]]
+        if not (ins.op is Op.ADD and ins.dst == ins.a and ins.b == i):
+            break
+        accs.append(ins.dst)
+        j += 1
+    if j + 1 >= len(real):
+        return None
+    step, back = instrs[real[j]], instrs[real[j + 1]]
+    if not (step.op is Op.ADD_LIT and step.dst == step.a == i
+            and type(step.value) is int and step.value == 1):
+        return None
+    if back.op is not Op.GOTO or unit_for(back.target) != k:
+        return None
+    out = unit_for(test.target)
+    if out is None or out <= j + 1:
+        return None
+    regs = {i, n, *accs}
+    if len(regs) != len(accs) + 2 or not all(0 <= r < registers for r in regs):
+        return None
+    return i, n, tuple(accs), len(accs) + 3, out
+
+
+def _counted_head(loop, plain):
+    """The head step of counted loop ``loop``: its closed form in an
+    untraced frame, the ``plain`` IF_GE step otherwise."""
+    out = loop[4]
+
+    def step(regs, frame, loop=loop, out=out, plain=plain):
+        if frame.tracer is None:
+            cell = frame.budget
+            # The driver has charged the head: the cell held one more.
+            trips = counted_exit(regs, loop, cell[0] + 1)
+            if trips is not None:
+                cell[0] -= trips
+                frame.closed += trips
+                return out
+        return plain(regs, frame)
+    return step
+
+
+# ---------------------------------------------------------------------------
 # The compiler
 # ---------------------------------------------------------------------------
 
@@ -664,9 +777,16 @@ def compile_method(method) -> CompiledMethod:
 
     C = _CompileContext(qname, unit_for)
     steps = [_build_single(instrs[i], i, k + 1, C) for k, i in enumerate(real)]
+    loops = {}
+    for k, i in enumerate(real):
+        if instrs[i].op is Op.IF_GE:
+            loop = _counted_loop(instrs, real, k, unit_for, method.registers)
+            if loop is not None:
+                loops[k] = loop
+                steps[k] = _counted_head(loop, steps[k])
     code = CompiledMethod(
         steps, real, [instrs[i] for i in real], C._cells,
-        f"instruction budget exhausted in {qname}",
+        f"instruction budget exhausted in {qname}", loops,
     )
     method._compiled = code
     return code

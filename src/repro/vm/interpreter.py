@@ -228,6 +228,7 @@ class Interpreter:
                     tracer.on_instr(method, pcs[i], instrs[i])
                     i = steps[i](registers, frame)
         finally:
+            cost += frame.closed
             runtime.cost_units += cost
             if tiered:
                 code.warmth += cost

@@ -50,19 +50,10 @@ its head, left only forward -- runs as its own inner ``while True:``,
 so it pays no guard compares per iteration.  Registers stay in the
 frame's list.
 
-**Counted loops.**  A simple loop whose head block is the single
-instruction ``if_ge i, n, @out`` (``@out`` past the loop's end) and
-whose rest is zero or more ``add a, a, i``, then ``add_lit i, i, 1``,
-then a ``goto`` back to the head -- ``i``, ``n`` and every ``a``
-distinct registers -- is a counted loop: the corpus's filler loop and
-the SLOWDOWN response emit it.  Its exit values have a closed form,
-entered only when ``i``, ``n`` and every ``a`` hold an exact ``int``,
-``-2**31 <= i`` and ``n <= 2**31 - 1`` (so ``i`` never wraps).  With
-``m = n - i if i < n else 0`` trips of ``L`` instructions, a budget of
-at least ``L*m + 1`` is charged ``L*m + 1`` in one step, each ``a``
-becomes ``wrap32(a + m*i + m*(m-1)//2)`` and ``i`` becomes ``n`` (when
-``m > 0``), and control continues at ``@out``.  In every other case
-the checked loop runs, and it owns budget exhaustion and type errors.
+**Counted loops.**  On entry to a simple loop that is a counted loop
+(:mod:`repro.vm.dispatch`), the function calls
+:func:`~repro.vm.dispatch.counted_exit`, the closed form tier-1 uses
+too; when it declines, the checked loop runs.
 
 Code objects are memoised by source text, with per-method constants
 bound through the exec namespace, so identical bodies -- a genuine and
@@ -74,7 +65,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from repro.crypto import sha1_hex
 from repro.dex.opcodes import CONDITIONAL_BRANCHES, Op
@@ -85,6 +76,7 @@ from repro.vm.dispatch import (
     _call,
     _eq,
     _switch_unhashable,
+    counted_exit,
 )
 from repro.vm.values import require_int, truthy
 
@@ -111,7 +103,7 @@ _ORDER = {Op.IF_LT: "<", Op.IF_GE: ">=", Op.IF_GT: ">", Op.IF_LE: "<="}
 #: Helpers every generated function takes as fast locals.
 _HELPERS = {
     "ri": require_int, "call": _call, "eq": _eq, "truthy": truthy,
-    "VMCrash": VMCrash, "unhashable": _switch_unhashable,
+    "VMCrash": VMCrash, "unhashable": _switch_unhashable, "counted": counted_exit,
 }
 
 _WRAP = "v - 0x100000000 if v > 0x7FFFFFFF else v"
@@ -177,9 +169,10 @@ class _Source:
 
     def __init__(self, method, code) -> None:
         self.instrs = method.instructions
-        self.registers = method.registers
         labels = method.label_map()
         self.steps = dict(zip(code.orig_pcs, code.steps))
+        self.orig_pcs = code.orig_pcs
+        self.loops = code.loops
         self.blocks = _blocks(self.instrs, labels)
         heads = [block[0] for block in self.blocks]
         #: label -> block index (len(blocks): falls off the end)
@@ -372,28 +365,6 @@ class _Source:
             loops[head] = end
         return loops
 
-    def counted(self, head: int, end: int) -> Optional[Tuple[int, int, List[int], int]]:
-        """(i, n, accumulators, exit block) when the simple loop
-        ``[head, end]`` is a counted loop (see module docstring)."""
-        body = [self.instrs[pc] for k in range(head, end + 1) for pc in self.blocks[k]]
-        if len(body) < 3:
-            return None
-        test, *adds, step, back = body
-        i, n = test.a, test.b
-        out = self.block_of.get(test.target)
-        if test.op is not Op.IF_GE or out is None or out <= end or back.op is not Op.GOTO:
-            return None
-        if not (step.op is Op.ADD_LIT and step.dst == step.a == i
-                and type(step.value) is int and step.value == 1):
-            return None
-        if not all(ins.op is Op.ADD and ins.dst == ins.a and ins.b == i for ins in adds):
-            return None
-        accs = [ins.dst for ins in adds]
-        regs = {i, n, *accs}
-        if len(regs) != len(accs) + 2 or not all(0 <= x < self.registers for x in regs):
-            return None
-        return i, n, accs, out
-
     def block(self, d: int, k: int) -> None:
         block = self.blocks[k]
         size = len(block)
@@ -414,28 +385,23 @@ class _Source:
             self.emit(d + 1, "break")  # the back edge was not taken
         self.inner = None
 
-    def closed_form(self, d: int, i: int, n: int, accs: List[int], out: int) -> None:
-        """A counted loop's exit values, its charge and ``b = out`` in
-        one step when its entry check and budget allow; ``b`` is left
-        alone otherwise."""
-        self.emit(d, f"x = r[{i}]")
-        self.emit(d, f"y = r[{n}]")
-        ints = "".join(f" and type(r[{a}]) is int" for a in accs)
-        self.emit(d, f"if type(x) is int and type(y) is int{ints}"
-                     " and -0x80000000 <= x and y <= 0x7FFFFFFF:")
-        self.emit(d + 1, f"c = {len(accs) + 3} * (y - x) + 1 if x < y else 1")
-        self.emit(d + 1, "if cell[0] >= c:")
-        self.emit(d + 2, "cell[0] -= c")
-        self.emit(d + 2, "cost += c")
-        self.emit(d + 2, "if x < y:")
-        self.emit(d + 3, "m = y - x")
-        if accs:
-            self.emit(d + 3, "s = m * x + m * (m - 1) // 2")
-        for a in accs:
-            self.emit(d + 3, f"v = (r[{a}] + s) & 0xFFFFFFFF")
-            self.emit(d + 3, f"r[{a}] = {_WRAP}")
-        self.emit(d + 3, f"r[{i}] = y")
-        self.emit(d + 2, f"b = {out}")
+    def closed_form(self, d: int, head: int) -> bool:
+        """Emit the call of the closed form when the simple loop at
+        block ``head`` is a counted loop: on success it charges the
+        loop and sets ``b`` to the exit block.  Such a loop spans
+        exactly the counted loop, whose body jumps only back to it."""
+        first = self.blocks[head][0]
+        loop = self.loops.get(bisect_left(self.orig_pcs, first))
+        if loop is None:
+            return False
+        out = self.block_of[self.instrs[first].target]
+        self.emit(d, f"c = counted(r, {self.bind(loop)}, cell[0])")
+        self.emit(d, "if c is not None:")
+        self.emit(d + 1, "c += 1")
+        self.emit(d + 1, "cell[0] -= c")
+        self.emit(d + 1, "cost += c")
+        self.emit(d + 1, f"b = {out}")
+        return True
 
     def generate(self, fell_off: str) -> str:
         d = 4
@@ -448,13 +414,11 @@ class _Source:
                 self.block(d, k)
                 k += 1
                 continue
-            counted = self.counted(k, end)
-            if counted is None:
-                self.loop(d, k, end)
-            else:
-                self.closed_form(d, *counted)
+            if self.closed_form(d, k):
                 self.emit(d, f"if b <= {k}:")
                 self.loop(d + 1, k, end)
+            else:
+                self.loop(d, k, end)
             k = end + 1
         self.emit(d - 1, f"raise VMCrash({self.bind(fell_off)})")
         body = self.lines

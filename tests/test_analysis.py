@@ -16,10 +16,11 @@ from repro.analysis import (
     postdominators,
     region_is_weavable,
 )
+from repro.analysis.cfg import instruction_successors, method_successors
 from repro.analysis.defs import constant_in_block, register_used_once, use_sites
 from repro.analysis.qualified_conditions import QCKind, Strength
 from repro.analysis.slicing import extract_slice_method
-from repro.dex import assemble_method, DexClass, DexFile
+from repro.dex import assemble_method, DexClass, DexFile, instructions as ins
 from repro.vm import Runtime
 
 
@@ -67,6 +68,21 @@ class TestCfg:
         )
         cfg = build_cfg(method)
         assert len(cfg.blocks[0].successors) == 3  # two cases + fallthrough
+
+    def test_successor_memo_sees_a_retargeted_branch(self):
+        # Retargeting a branch to another existing label moves no label,
+        # so the label map stays valid and nothing calls invalidate():
+        # the memo must still not serve the old relation.
+        method = method_of(
+            "if_eqz r0, @a\nreturn_void\n@a:\nreturn_void\n@b:\nreturn_void"
+        )
+        labels = method.label_map()
+        assert method_successors(method) == [(labels["a"], 1), (), (3,), (), (5,), ()]
+        assert method_successors(method) is method_successors(method)
+        method.instructions[0] = ins.if_eqz(0, "b")
+        assert method.label_cache() is labels
+        assert method_successors(method) == [(labels["b"], 1), (), (3,), (), (5,), ()]
+        assert method_successors(method) == instruction_successors(method.instructions, labels)
 
 
 class TestDominatorsAndLoops:

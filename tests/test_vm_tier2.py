@@ -11,8 +11,10 @@ A second test warms a method onto tier-2, splices a slice of another
 generated method into it with ``MethodEditor`` and diffs the runs of
 the edited body the same way.  A third draws simple loops of int-only
 register work, which tier-2 runs as checked inner loops.  A fourth
-draws counted loops, whose exit values tier-2 computes in closed form,
-and checks that the closed form both runs and agrees.
+draws counted loops, whose exit values both tiers compute in closed
+form, and checks that the closed form both runs and agrees on tier-2
+and on tier-1 frames of every kind: counted by the profiler, untraced
+before the method warms, and traced (which must never take it).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ from repro.dex.model import DexMethod
 from repro.dex.opcodes import Op
 from repro.lint.diagnostics import errors
 from repro.vm import Runtime, tier2
+from repro.vm import dispatch
+from repro.vm.dispatch import counted_exit
+from repro.vm.interpreter import CountingTracer
 from tests.vm_reference import reference_runtime
 
 HELPERS = """
@@ -468,21 +473,22 @@ def counted_loops(draw):
     return method.instructions, method.registers, 0, False
 
 
-def _ran_closed_form(run):
-    """Call ``run()``; True when a tier-2 frame bound ``m``, the local
-    only a counted loop's closed form binds, after it charged the loop
-    and found at least one trip."""
-    seen = []
+def _closed_forms(run):
+    """Call ``run()``; the results of every call of the counted-loop
+    closed form (``dispatch.counted_exit``), on either tier: None where
+    it declined, else the trip instructions it charged."""
+    results = []
+    code = counted_exit.__code__
 
-    def local(frame, event, arg):
-        if event == "return" and "m" in frame.f_locals:
-            seen.append(True)
-        return local
+    def returned(frame, event, arg):
+        if event == "return":
+            results.append(arg)
+        return returned
 
     def calls(frame, event, arg):
-        if frame.f_code.co_filename.startswith("<tier2 "):
+        if frame.f_code is code:
             frame.f_trace_lines = False
-            return local
+            return returned
         return None
 
     saved = sys.gettrace()
@@ -491,13 +497,77 @@ def _ran_closed_form(run):
         run()
     finally:
         sys.settrace(saved)
-    return bool(seen)
+    return results
+
+
+def _ran_closed_form(run):
+    """Call ``run()``; True when a closed form found at least one trip."""
+    return any(_closed_forms(run))
+
+
+#: Tier-1 frames: the profiler's counted frames, untraced frames of a
+#: method not yet warm, and traced frames.
+TIER1_MODES = ("counted", "cold", "traced")
+
+
+@contextmanager
+def _tier1(runtime, mode):
+    """Every frame of ``runtime`` runs tier-1 in ``mode``; yields the
+    attached CountingTracer in traced mode, else None."""
+    tracer = None
+    saved = tier2.WARM_INSTRUCTIONS
+    if mode == "counted":
+        runtime.interpreter.invocation_counts = {}
+    elif mode == "cold":
+        tier2.WARM_INSTRUCTIONS = 10**12
+    else:
+        tracer = CountingTracer()
+        runtime.add_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        tier2.WARM_INSTRUCTIONS = saved
+        runtime.interpreter.invocation_counts = None
+        if tracer is not None:
+            runtime.remove_tracer(tracer)
+
+
+def _tier1_agrees(program, args, budgets, full):
+    """Diff every tier-1 mode against the oracle at the full budget and
+    at ``budgets``; returns whether the tier-1 closed form ran (found a
+    trip) in the full runs of the untraced modes.  A traced frame must
+    never call the closed form, and its tracer must see one
+    ``on_instr`` per instruction consumed."""
+    ref = _runtime(reference_runtime, program)
+    expected = {budget: _outcome(ref, args, budget) for budget in (full, *budgets)}
+    ran = []
+    for mode in TIER1_MODES:
+        fast = _runtime(Runtime, program)
+        with _tier1(fast, mode) as tracer:
+            got = []
+            forms = _closed_forms(lambda: got.append(_outcome(fast, args, full)))
+            assert got[0] == expected[full], mode
+            if tracer is None:
+                ran.append(any(forms))
+            else:
+                assert forms == [] and tracer.instructions == got[0][2]
+            for budget in budgets:
+                seen = tracer.instructions if tracer is not None else 0
+                outcome = _outcome(fast, args, budget)
+                assert outcome == expected[budget], (mode, budget)
+                if tracer is not None:
+                    assert tracer.instructions - seen == outcome[2], (mode, budget)
+        assert fast.find_method("G.main")._compiled.tier2 is None, mode
+    assert ran[0] == ran[1]
+    return ran[0]
 
 
 def test_counted_loops_match_reference_at_every_budget():
-    """Drawn counted loops agree with the oracle at every budget, and
-    the closed form runs in at least a quarter of the examples."""
+    """Drawn counted loops agree with the oracle at every budget on
+    tier-2 and in every tier-1 mode, and the closed form runs in at
+    least a quarter of the examples on each tier."""
     closed = []
+    tier1 = []
 
     @settings(
         max_examples=80,
@@ -511,15 +581,20 @@ def test_counted_loops_match_reference_at_every_budget():
         fast = _runtime(Runtime, program)
         with _tier2_from_first_call():
             closed.append(_ran_closed_form(lambda: _outcome(fast, [], COUNTED_FULL)))
+        consumed = _outcome(_runtime(reference_runtime, program), [], COUNTED_FULL)[2]
+        budgets = range(1, min(consumed + 1, COUNTED_FULL) + 1)
+        tier1.append(_tier1_agrees(program, [], budgets, COUNTED_FULL))
 
     check()
     assert sum(closed) >= len(closed) // 4, (sum(closed), len(closed))
+    assert sum(tier1) >= len(tier1) // 4, (sum(tier1), len(tier1))
 
 
 def test_slowdown_loop_runs_in_closed_form():
     """The SLOWDOWN response's busy loop, as the instrumenter emits it:
-    the closed form runs, and tier-2 agrees with the oracle at the full
-    budget and at every budget near the loop's start and end."""
+    the closed form runs on both tiers, and every tier agrees with the
+    oracle at the full budget and at every budget near the loop's start
+    and end."""
     b = MethodBuilder("G", "main", params=0)
     emit_response(b, ResponseKind.SLOWDOWN, "b0", "G", "App")
     method = b.build()
@@ -532,12 +607,61 @@ def test_slowdown_loop_runs_in_closed_form():
     # The loop's three instructions per trip and its last test, plus
     # one of each instruction outside it.
     total = 3 * SLOWDOWN_ITERATIONS + 1 + sum(i.op is not Op.LABEL for i in method.instructions) - 3
-    budgets = [*range(1, 12), *range(total - 8, total + 3), 10**6]
+    budgets = [*range(1, 12), *range(total - 8, total + 3)]
     with _tier2_from_first_call():
         assert _ran_closed_form(lambda: _outcome(fast, [], 10**6))
         assert _outcome(fast, [], 10**6)[:3] == ("ok", repr(SLOWDOWN_ITERATIONS), total)
-        for budget in budgets:
+        for budget in [*budgets, 10**6]:
             assert _outcome(fast, [], budget) == _outcome(ref, [], budget), budget
+    assert _tier1_agrees(program, [], budgets, 10**6)
+
+
+WARMING = """
+.class G
+.method main 2
+    const r2, 0
+    const r3, 0
+@top:
+    if_ge r2, r0, @out
+    add r3, r3, r2
+    add_lit r2, r2, 1
+    goto @top
+@out:
+    if_eqz r1, @done
+    add_lit r4, r1, -1
+    invoke r5, G.main, r0, r4
+    add r3, r3, r5
+@done:
+    return r3
+.end
+"""
+
+
+def _warming(calls):
+    """(result, warmth, compiled) after each of ``calls`` calls of a
+    method that runs a 40-trip counted loop, then calls itself twice
+    deeper: the innermost frame starts after two outer loops ran."""
+    runtime = Runtime(assemble(WARMING), seed=0)
+    main = runtime.find_method("G.main")
+    out = []
+    for _ in range(calls):
+        value = runtime.session().run(main, [40, 2]).value
+        out.append((value, main._compiled.warmth, main._compiled.tier2 is not None))
+    return out
+
+
+def test_tier1_closed_form_keeps_warmth_exact(monkeypatch):
+    """A tier-1 frame whose counted loop runs in closed form warms its
+    method exactly as the step-by-step run does, and the method reaches
+    tier-2 on the same call: the trips count when the frame ends, not
+    before the recursive frames it starts."""
+    assert _ran_closed_form(lambda: _warming(1))
+    closed = _warming(3)
+    monkeypatch.setattr(dispatch, "counted_exit", lambda regs, loop, budget: None)
+    assert not _ran_closed_form(lambda: _warming(1))
+    stepped = _warming(3)
+    assert closed == stepped
+    assert [compiled for _, _, compiled in stepped] == [False, True, True]
 
 
 #: Loops tier-2 must not run as simple inner loops: one is entered in
