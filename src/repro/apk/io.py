@@ -62,21 +62,25 @@ def apk_from_bytes(data: bytes, source: str = "<bytes>") -> Apk:
     if data[:4] != MAGIC:
         raise ApkError(f"{source} is not a repro APK file")
     offset = 4
-    (count,) = struct.unpack_from(">H", data, offset)
-    offset += 2
+
+    def take(size: int) -> bytes:
+        nonlocal offset
+        if offset + size > len(data):
+            raise ApkError(f"{source} is truncated at byte {len(data)}")
+        offset += size
+        return data[offset - size : offset]
+
+    def length(width: int) -> int:
+        return int.from_bytes(take(width), "big")
+
     entries = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from(">H", data, offset)
-        offset += 2
-        name = data[offset : offset + name_len].decode("utf-8")
-        offset += name_len
-        (blob_len,) = struct.unpack_from(">I", data, offset)
-        offset += 4
-        entries[name] = data[offset : offset + blob_len]
-        offset += blob_len
-    (cert_len,) = struct.unpack_from(">I", data, offset)
-    offset += 4
-    cert = Certificate.parse(data[offset : offset + cert_len])
+    for _ in range(length(2)):
+        try:
+            name = take(length(2)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ApkError(f"{source} has a non-UTF-8 entry name") from None
+        entries[name] = take(length(4))
+    cert = Certificate.parse(take(length(4)))
     manifest = (
         Manifest.parse(entries[_MANIFEST_ENTRY])
         if _MANIFEST_ENTRY in entries

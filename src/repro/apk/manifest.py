@@ -39,7 +39,11 @@ class Manifest:
     def parse(cls, blob: bytes) -> "Manifest":
         digests: Dict[str, str] = {}
         name = None
-        for line in blob.decode("ascii").splitlines():
+        try:
+            text = blob.decode("ascii")
+        except UnicodeDecodeError:
+            raise ApkError("MANIFEST.MF is not ASCII") from None
+        for line in text.splitlines():
             if line.startswith("Name: "):
                 name = line[len("Name: ") :]
             elif line.startswith("SHA1-Digest: "):

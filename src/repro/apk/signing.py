@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto import RSAKeyPair, RSAPublicKey
-from repro.errors import ApkError, SignatureError
+from repro.errors import ApkError, CryptoError, SignatureError
 
 
 @dataclass(frozen=True)
@@ -43,10 +43,11 @@ class Certificate:
         sig_blob = blob[offset + 2 : offset + 2 + sig_len]
         if len(key_blob) != key_len or len(sig_blob) != sig_len:
             raise ApkError("malformed CERT.RSA")
-        return cls(
-            public_key=RSAPublicKey.from_bytes(key_blob),
-            signature=int.from_bytes(sig_blob, "big"),
-        )
+        try:
+            public_key = RSAPublicKey.from_bytes(key_blob)
+        except CryptoError as exc:
+            raise ApkError(f"malformed CERT.RSA key: {exc}") from None
+        return cls(public_key=public_key, signature=int.from_bytes(sig_blob, "big"))
 
     def fingerprint_hex(self) -> str:
         """The hex key fingerprint exposed via ``android.pm.get_public_key``."""

@@ -32,7 +32,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apk.io import apk_from_bytes, apk_to_bytes, load_apk
+from repro.apk.io import apk_from_bytes, apk_to_bytes
 from repro.apk.package import Apk
 from repro.core import BombDroid, BombDroidConfig, ProtectionResult
 from repro.core.stats import InstrumentationReport
@@ -79,17 +79,18 @@ def jobs_from_dir(
     suffix: str = ".rapk",
 ) -> List[BatchJob]:
     """One job per ``*.rapk`` file, sorted by filename (deterministic
-    batch order)."""
+    batch order).  Files are read as they are: a file that does not
+    parse becomes that app's CRASHED outcome, not a failed batch."""
     jobs = []
     for entry in sorted(os.listdir(corpus_dir)):
         if not entry.endswith(suffix):
             continue
-        path = os.path.join(corpus_dir, entry)
-        apk = load_apk(path)  # validates framing early, per-file errors loud
+        with open(os.path.join(corpus_dir, entry), "rb") as handle:
+            apk_bytes = handle.read()
         jobs.append(
             BatchJob(
                 name=entry[: -len(suffix)],
-                apk_bytes=apk_to_bytes(apk),
+                apk_bytes=apk_bytes,
                 developer_key=developer_key,
             )
         )

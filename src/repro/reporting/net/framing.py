@@ -272,8 +272,10 @@ class HealthStatus:
     ``epoch`` is the leadership generation the node believes current;
     ``applied`` counts durable appends (followers: replicated records),
     ``wal_depth`` appends since the last snapshot, ``queue_depth`` and
-    ``dropped`` expose ingest backpressure.  ``endpoint`` is where
-    clients should write -- for a fenced node that is the *new* leader.
+    ``dropped`` expose ingest backpressure (an ingest leader answers
+    each read chunk in one loop turn, so its ``queue_depth`` reads 0).
+    ``endpoint`` is where clients should write -- for a fenced node that
+    is the *new* leader.
     """
 
     epoch: int

@@ -1,33 +1,39 @@
 """The asyncio TCP ingestion service (and its thread-hosted handle).
 
 :class:`IngestService` is the networked face of
-:class:`~repro.reporting.server.ReportServer`: one acceptor, a
-per-connection :class:`~repro.reporting.net.framing.FrameReader`, and
-one bounded queue + worker task per shard.  Design invariants:
+:class:`~repro.reporting.server.ReportServer`: one acceptor and a
+per-connection :class:`~repro.reporting.net.framing.FrameReader`.
+Design invariants:
 
 * **The server object stays single-threaded.**  Every ``submit`` /
-  ``process`` / ``verdict`` runs on the event loop (shard workers are
-  tasks, not threads), so the in-process server needs no locks and the
-  WAL write ordering of PR 4 is untouched.
-* **Backpressure is deterministic.**  The handler enqueues *every*
-  frame a read chunk completed before awaiting anything; with the
-  single-threaded loop that makes "queue full -> DROPPED" a pure
-  function of queue depth and arrival order, which is what lets tests
-  assert exact drop accounting.  A dropped frame still answers its
-  status byte (0x07), so the device client's retry/backoff semantics
-  carry over unchanged.
-* **ACCEPTED still means durable.**  Frames are answered only after the
-  shard worker ran ``server.submit`` -- which journals before mutating
-  -- so the status byte carries the same guarantee as the in-process
+  ``process`` / ``verdict`` runs on the event loop, so the in-process
+  server needs no locks and WAL writes keep the server's order.
+* **A read chunk is admitted, submitted and answered in one turn.**
+  The handler first admits every frame the chunk completed: a shard
+  that already holds ``shard_queue_depth`` of the chunk's frames
+  answers DROPPED (0x07) for the rest, so drops are a pure function of
+  the chunk, which is what lets tests assert exact drop accounting.
+  It then submits the admitted frames shard by shard (shards in order
+  of first appearance, frames first in, first out), runs ``process()``
+  every ``process_every`` submits, and writes the statuses in frame
+  order.  Nothing awaits in between, so no frame waits between turns
+  and :attr:`HealthStatus.queue_depth` always reads 0.  The depth bounds
+  one chunk, not one shard across connections: chunks that different
+  connections deliver in the same loop turn each get the full depth.
+* **ACCEPTED still means durable.**  A status is written only after
+  ``server.submit`` -- which journals before mutating -- returned it,
+  so the status byte carries the same guarantee as the in-process
   return value.
 
 Replication piggybacks on the same loop: when the server is durable and
-``replication_port`` is given, a second listener streams HELLO +
-bootstrap SNAPSHOT + every subsequent WAL append (via a
-``DurabilityLog`` observer) to each follower, and reads cumulative-ack
-messages back.  ``stop()`` drains shard queues *and* flushes follower
-relay queues before closing, so a follower that sees EOF after a clean
-leader shutdown holds every record the leader journaled.
+``replication_port`` is given, a second listener writes HELLO +
+bootstrap SNAPSHOT + a first beat to each follower, and then every WAL
+append (via a ``DurabilityLog`` observer) and every heartbeat straight
+to the follower's stream, in the turn that produced it; it reads
+cumulative-ack messages back.  ``stop()`` runs a final ``process()`` and
+drains every follower stream before closing, so a follower that sees
+EOF after a clean leader shutdown holds every record the leader
+journaled.
 
 :class:`ServiceHandle` hosts the service on a daemon-thread event loop
 for the synchronous callers (fleet driver, tests): ``call(fn)`` runs a
@@ -42,7 +48,7 @@ import concurrent.futures
 import struct
 import threading
 import time
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.chaos.faults import fault_point
 from repro.errors import FaultInjected, ReportingError, WireError
@@ -67,7 +73,7 @@ from repro.reporting.net.framing import (
     format_endpoint,
 )
 from repro.reporting.server import ReportServer, SubmitStatus
-from repro.reporting.wire import decode_report
+from repro.reporting.wire import SignedReport, decode_report
 
 T = TypeVar("T")
 
@@ -137,11 +143,8 @@ class IngestService:
         self.metrics = metrics if metrics is not None else server.metrics
         self.conn_stats: List[ConnStats] = []
 
-        self._queues: List[asyncio.Queue] = []
-        self._workers: List[asyncio.Task] = []
         self._handler_tasks: "set[asyncio.Task]" = set()
-        self._follower_queues: List[asyncio.Queue] = []
-        self._relay_tasks: List[asyncio.Task] = []
+        self._followers: List[asyncio.StreamWriter] = []
         self._listener: Optional[asyncio.AbstractServer] = None
         self._repl_listener: Optional[asyncio.AbstractServer] = None
         self._heartbeat_task: Optional[asyncio.Task] = None
@@ -170,10 +173,6 @@ class IngestService:
         return self._repl_listener.sockets[0].getsockname()[:2]
 
     async def start(self) -> None:
-        for _ in range(self.server.shard_count):
-            queue: asyncio.Queue = asyncio.Queue(maxsize=self.shard_queue_depth)
-            self._queues.append(queue)
-            self._workers.append(asyncio.ensure_future(self._shard_worker(queue)))
         self._listener = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -188,12 +187,12 @@ class IngestService:
                 )
 
     async def stop(self) -> None:
-        """Graceful drain: answer in-flight frames, flush followers.
+        """Graceful drain: final ``process()``, flush followers.
 
-        Order matters: stop accepting, let shard workers drain their
-        queues, run a final ``process()``, then flush every follower
-        relay queue to EOF (a follower of a *cleanly* stopped leader
-        misses nothing), and only then tear down handler tasks.
+        Order matters: stop accepting, run a final ``process()``, then
+        drain every follower stream (a follower of a *cleanly* stopped
+        leader misses nothing), and only then tear down handler tasks,
+        whose close flushes whatever the drain left buffered.
         """
         if self._closed:
             return
@@ -205,15 +204,12 @@ class IngestService:
             if listener is not None:
                 listener.close()
                 await listener.wait_closed()
-        for queue in self._queues:
-            await queue.put(None)
-        if self._workers:
-            await asyncio.gather(*self._workers, return_exceptions=True)
         self.server.process()
-        for queue in self._follower_queues:
-            await queue.put(None)
-        if self._relay_tasks:
-            await asyncio.gather(*self._relay_tasks, return_exceptions=True)
+        for writer in list(self._followers):
+            try:
+                await writer.drain()
+            except (ConnectionError, OSError):
+                pass
         for task in list(self._handler_tasks):
             task.cancel()
         if self._handler_tasks:
@@ -223,8 +219,8 @@ class IngestService:
         """Die mid-stream: no drain, no flush, no final process.
 
         This is the ``net.failover`` fault and the fleet's leader-kill:
-        connections break, follower streams hit EOF wherever the relay
-        happened to be, and whatever only the leader knew is lost --
+        connections break, follower streams hit EOF after whatever was
+        already written to them, and whatever only the leader knew is lost --
         exactly the failure replication must absorb.
         """
         if self._closed:
@@ -233,7 +229,7 @@ class IngestService:
         for listener in (self._listener, self._repl_listener):
             if listener is not None:
                 listener.close()
-        tasks = self._workers + self._relay_tasks + list(self._handler_tasks)
+        tasks = list(self._handler_tasks)
         if self._heartbeat_task is not None:
             tasks.append(self._heartbeat_task)
         for task in tasks:
@@ -296,20 +292,12 @@ class IngestService:
                     stats.desync = True
                     self.metrics.counter("reporting.net.desync").inc()
                     break
-                # Enqueue every frame this chunk completed *before* the
-                # first await: deterministic drops (see module docs).
-                pending: List["asyncio.Future[SubmitStatus]"] = []
-                for blob in blobs:
-                    try:
-                        fault_point("net.failover")
-                    except FaultInjected:
-                        self.metrics.counter("reporting.net.failover_faults").inc()
-                        self.abort()
-                        return
-                    pending.append(self._route(blob, stats, drop_counter))
-                for future in pending:
-                    status = await future
-                    ingest_hist.observe(time.perf_counter() - started)
+                statuses = self._answer(blobs, stats, drop_counter)
+                if statuses is None:
+                    return  # the net.failover fault aborted the service
+                elapsed = time.perf_counter() - started
+                for status in statuses:
+                    ingest_hist.observe(elapsed)
                     stats.frames += 1
                     writer.write(encode_status(status))
                     if status is SubmitStatus.NOT_LEADER:
@@ -423,74 +411,81 @@ class IngestService:
             role="fenced" if fenced else "leader",
             applied=int(server.metrics.counter("reporting.accepted").value),
             wal_depth=int(wal_depth),
-            queue_depth=sum(queue.qsize() for queue in self._queues),
+            # Frames never wait between loop turns (see module docs).
+            queue_depth=0,
             dropped=int(self.metrics.counter("reporting.net.dropped").value),
             endpoint=endpoint,
         )
 
     async def _heartbeat_loop(self) -> None:
-        """Periodic liveness beat relayed to every follower."""
+        """Periodic liveness beat written to every follower."""
         try:
             while not self._closed:
                 await asyncio.sleep(self.heartbeat_interval)
-                if not self._follower_queues:
-                    continue
-                message = encode_message(
-                    MSG_HEARTBEAT, encode_health(self.health_status())
-                )
-                for queue in self._follower_queues:
-                    queue.put_nowait(message)
+                if self._followers:
+                    self._to_followers(
+                        encode_message(
+                            MSG_HEARTBEAT, encode_health(self.health_status())
+                        )
+                    )
         except asyncio.CancelledError:
             pass
 
-    def _route(
-        self, blob: bytes, stats: ConnStats, drop_counter
-    ) -> "asyncio.Future[SubmitStatus]":
-        """Queue one frame for its owning shard; never awaits."""
-        loop = asyncio.get_running_loop()
-        future: "asyncio.Future[SubmitStatus]" = loop.create_future()
-        if self._fenced_epoch is not None:
-            # A fenced node accepts nothing: the frame never reaches the
-            # server, so its counters (and WAL) stay flat post-fence.
-            self.metrics.counter("reporting.net.not_leader").inc()
-            future.set_result(SubmitStatus.NOT_LEADER)
-            return future
-        try:
-            signed = decode_report(blob)
-        except WireError:
-            # Malformed frames never reach a shard queue; submit inline
-            # so the MALFORMED counters stay identical to in-process.
-            future.set_result(self.server.submit(blob))
-            return future
-        shard = self.server.shard_for(signed.report.device_id)
-        try:
-            self._queues[shard].put_nowait((signed, future))
-        except asyncio.QueueFull:
+    def _answer(
+        self, blobs: List[bytes], stats: ConnStats, drop_counter
+    ) -> Optional[List[SubmitStatus]]:
+        """One chunk's statuses, in frame order; never awaits.
+
+        Admits every frame before the first submit (deterministic drops,
+        see module docs), then submits the admitted frames shard by
+        shard.  Returns None when the ``net.failover`` fault aborted the
+        service.
+        """
+        server = self.server
+        statuses: List[Optional[SubmitStatus]] = [None] * len(blobs)
+        admitted: Dict[int, List[Tuple[int, SignedReport]]] = {}
+        for index, blob in enumerate(blobs):
+            try:
+                fault_point("net.failover")
+            except FaultInjected:
+                self.metrics.counter("reporting.net.failover_faults").inc()
+                self.abort()
+                return None
+            if self._fenced_epoch is not None:
+                # A fenced node accepts nothing: the frame never reaches
+                # the server, so its counters (and WAL) stay flat.
+                self.metrics.counter("reporting.net.not_leader").inc()
+                statuses[index] = SubmitStatus.NOT_LEADER
+                continue
+            try:
+                signed = decode_report(blob)
+            except WireError:
+                # Malformed frames are never admitted; submit inline so
+                # the MALFORMED counters stay identical to in-process.
+                statuses[index] = server.submit(blob)
+                continue
+            shard = admitted.setdefault(
+                server.shard_for(signed.report.device_id), []
+            )
+            if len(shard) < self.shard_queue_depth:
+                shard.append((index, signed))
+                continue
             stats.dropped += 1
             drop_counter.inc()
             self.metrics.counter("reporting.net.dropped").inc()
             # Mirror the in-process books: a frame that reached us but
-            # could not be queued still counts as received + dropped.
-            self.server.metrics.counter("reporting.received").inc()
-            self.server.metrics.counter("reporting.dropped_backpressure").inc()
-            future.set_result(SubmitStatus.DROPPED)
-        return future
-
-    async def _shard_worker(self, queue: asyncio.Queue) -> None:
-        while True:
-            item = await queue.get()
-            if item is None:
-                queue.task_done()
-                return
-            signed, future = item
-            status = self.server.submit(signed)
-            if not future.done():
-                future.set_result(status)
-            queue.task_done()
-            self._unprocessed += 1
-            if self._unprocessed >= self.process_every:
-                self._unprocessed = 0
-                self.server.process()
+            # could not be admitted still counts as received + dropped.
+            server.metrics.counter("reporting.received").inc()
+            server.metrics.counter("reporting.dropped_backpressure").inc()
+            statuses[index] = SubmitStatus.DROPPED
+        for shard in admitted.values():
+            for index, signed in shard:
+                statuses[index] = server.submit(signed)
+                self._unprocessed += 1
+                if self._unprocessed >= self.process_every:
+                    self._unprocessed = 0
+                    server.process()
+        return statuses
 
     # -- replication path ---------------------------------------------------
 
@@ -503,12 +498,9 @@ class IngestService:
             task.add_done_callback(self._handler_tasks.discard)
         # Bootstrap synchronously (no await between snapshot render and
         # follower registration): every WAL append after this instant
-        # lands in the queue, so the follower misses nothing.
-        queue: asyncio.Queue = asyncio.Queue()
-        queue.put_nowait(
-            encode_message(MSG_HELLO, bytes((self.server.shard_count,)))
-        )
-        queue.put_nowait(
+        # is written to this stream too, so the follower misses nothing.
+        writer.write(encode_message(MSG_HELLO, bytes((self.server.shard_count,))))
+        writer.write(
             encode_message(
                 MSG_SNAPSHOT,
                 snapshot_image(encode_snapshot(self.server._snapshot_state())),
@@ -516,16 +508,16 @@ class IngestService:
         )
         # An immediate beat so the follower learns the leader's epoch
         # without waiting out the first heartbeat interval.
-        queue.put_nowait(
+        writer.write(
             encode_message(MSG_HEARTBEAT, encode_health(self.health_status()))
         )
-        self._follower_queues.append(queue)
+        self._followers.append(writer)
         self.metrics.counter("reporting.net.replicas").inc()
-        relay = asyncio.ensure_future(self._relay(queue, writer))
-        self._relay_tasks.append(relay)
         acks = MessageReader()
         try:
-            while not self._closed:
+            # Read acks until EOF or cancellation, also while stop()
+            # drains: the stream stays registered for its last records.
+            while True:
                 data = await reader.read(READ_CHUNK)
                 if not data:
                     break
@@ -536,48 +528,32 @@ class IngestService:
         except (ConnectionError, asyncio.CancelledError, WireError):
             pass
         finally:
-            if queue in self._follower_queues:
-                self._follower_queues.remove(queue)
+            self._followers.remove(writer)
+            writer.close()
             # abort() cancels this handler and the loop's shutdown sweep
             # cancels it again mid-teardown; absorb that second
             # cancellation too, so the task ends cleanly instead of
             # asyncio logging a CancelledError traceback for it.
             try:
-                if not relay.done():
-                    queue.put_nowait(None)
-                    await asyncio.gather(relay, return_exceptions=True)
-            except asyncio.CancelledError:
-                pass
-            writer.close()
-            try:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):
                 pass
 
-    async def _relay(self, queue: asyncio.Queue, writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                message = await queue.get()
-                if message is None:
-                    return
-                writer.write(message)
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
+    def _to_followers(self, message: bytes) -> None:
+        for writer in self._followers:
+            writer.write(message)
 
     def _on_wal_event(self, event: str, index: int, payload: bytes) -> None:
-        """DurabilityLog observer: relay appends/compactions verbatim."""
-        if not self._follower_queues:
+        """DurabilityLog observer: ship appends/compactions verbatim."""
+        if not self._followers:
             return
         if event == "record":
             wal_byte = index if index >= 0 else META_WAL
-            message = encode_message(MSG_RECORD, bytes((wal_byte,)) + payload)
+            self._to_followers(
+                encode_message(MSG_RECORD, bytes((wal_byte,)) + payload)
+            )
         elif event == "snapshot":
-            message = encode_message(MSG_SNAPSHOT, payload)
-        else:  # pragma: no cover - future event kinds are not replicated
-            return
-        for queue in self._follower_queues:
-            queue.put_nowait(message)
+            self._to_followers(encode_message(MSG_SNAPSHOT, payload))
 
 
 class ServiceHandle:

@@ -1,7 +1,7 @@
 """APK packaging, signing, manifest digests, steganography."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.apk import (
     Apk,
@@ -12,6 +12,7 @@ from repro.apk import (
     extract_from_cover,
     stego_capacity,
 )
+from repro.apk.io import apk_from_bytes, apk_to_bytes
 from repro.apk.package import ENTRY_DEX
 from repro.crypto import RSAKeyPair, sha1_hex
 from repro.dex import assemble
@@ -106,6 +107,58 @@ class TestManifest:
     def test_get_missing(self):
         with pytest.raises(ApkError):
             Manifest().get("ghost")
+
+
+def _apk_or_apk_error(decode, blob):
+    try:
+        result = decode(blob)
+    except ApkError:
+        return None
+    return result
+
+
+class TestContainerDecoder:
+    """``apk_from_bytes`` and ``Manifest.parse`` fail only with ``ApkError``."""
+
+    def test_roundtrip(self, apk):
+        parsed = apk_from_bytes(apk_to_bytes(apk))
+        assert parsed.entries == apk.entries
+        assert parsed.manifest == apk.manifest
+        assert parsed.cert == apk.cert
+
+    def test_every_truncation_raises_apk_error(self, apk):
+        blob = apk_to_bytes(apk)
+        for cut in range(len(blob)):
+            with pytest.raises(ApkError):
+                apk_from_bytes(blob[:cut])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2**16)
+                | st.integers(min_value=0, max_value=64),
+                st.integers(min_value=0, max_value=255),
+            ),
+            max_size=4,
+        ),
+        cut=st.none() | st.integers(min_value=0),
+    )
+    def test_edited_container_yields_apk_or_apk_error(self, apk, edits, cut):
+        blob = bytearray(apk_to_bytes(apk))
+        for pos, byte in edits:
+            blob[pos % len(blob)] = byte
+        if cut is not None:
+            del blob[cut % len(blob) :]
+        result = _apk_or_apk_error(apk_from_bytes, bytes(blob))
+        assert result is None or isinstance(result, Apk)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.binary(max_size=64))
+    def test_manifest_parse_yields_manifest_or_apk_error(self, apk, data):
+        for blob in (data, apk.manifest.serialize() + data):
+            result = _apk_or_apk_error(Manifest.parse, blob)
+            assert result is None or isinstance(result, Manifest)
 
 
 class TestResourcesXml:

@@ -352,6 +352,34 @@ class TestCliProtectBatch:
             assert a == b
 
 
+    def test_one_truncated_file_crashes_only_its_app(
+        self, small_apk, second_apk, tmp_path, capsys
+    ):
+        from repro.apk.io import save_apk_with_manifest
+        from repro.cli import EXIT_FAILURE, main
+
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        save_apk_with_manifest(small_apk, str(corpus / "game.rapk"))
+        save_apk_with_manifest(second_apk, str(corpus / "tool.rapk"))
+        blob = apk_to_bytes(small_apk)
+        (corpus / "torn.rapk").write_bytes(blob[: len(blob) // 2])
+        out_dir = tmp_path / "protected"
+        argv = [
+            "protect-batch",
+            "--corpus", str(corpus),
+            "--out", str(out_dir),
+            "--key-seed", "11",
+            "--seed", "4",
+            "--profiling-events", "200",
+        ]
+        assert main(argv) == EXIT_FAILURE
+        assert sorted(os.listdir(out_dir)) == ["game.rapk", "tool.rapk"]
+        captured = capsys.readouterr()
+        assert "protected 2/3 app(s)" in captured.out
+        assert "0 verification failure(s), 1 crash(es)" in captured.out
+        assert "torn: crashed (ApkError: torn is truncated" in captured.err
+
 class TestStrategy:
     def test_unpicklable_key_falls_back_to_serial(
         self, corpus_jobs, batch_config, serial_batch

@@ -31,8 +31,9 @@ from repro.reporting import (
     run_fleet,
     sign_report,
 )
-from repro.reporting.durability import encode_snapshot, snapshot_image
+from repro.reporting.durability import encode_snapshot, snapshot_image, wal_path
 from repro.reporting.net.framing import recv_exact
+from repro.reporting.net.service import ConnStats, IngestService
 from repro.reporting.net import (
     FENCE_MAGIC,
     HEALTH_MAGIC,
@@ -82,6 +83,16 @@ def make_signed(attest_key, i, ts=10.0, key=PIRATE, app=APP):
             nonce=1000 + i,
         ),
         attest_key,
+    )
+
+
+def malformed_frame():
+    # Empty key + signature: the frame slices cleanly (framing is fine)
+    # but fails decode_report.
+    body = b"\x00" * 10
+    return (
+        b"DRPT" + struct.pack(">I", len(body)) + body
+        + struct.pack(">H", 0) + struct.pack(">H", 0)
     )
 
 
@@ -270,15 +281,8 @@ class TestIngestService:
         server = make_server()
         handle = ServiceHandle.start(server)
         try:
-            # Hand-build a frame with empty key + signature: it slices
-            # cleanly (framing is fine) but fails decode_report.
-            body = b"\x00" * 10
-            frame = (
-                b"DRPT" + struct.pack(">I", len(body)) + body
-                + struct.pack(">H", 0) + struct.pack(">H", 0)
-            )
             transport = TcpTransport(handle.address)
-            statuses = transport.send_many([frame])
+            statuses = transport.send_many([malformed_frame()])
             assert statuses == [SubmitStatus.MALFORMED]
             transport.close()
             assert handle.call(
@@ -333,6 +337,107 @@ class TestIngestService:
             )
         finally:
             handle.stop()
+
+    def test_chunk_is_admitted_then_submitted_shard_by_shard(self, attest_key):
+        # _answer never awaits, so one chunk's admission is exact: each
+        # shard admits shard_queue_depth of the chunk's frames and drops
+        # the rest, then the admitted frames run shard by shard (shards
+        # in order of first appearance, frames first in, first out).
+        server = make_server(shards=3)
+        service = IngestService(server, shard_queue_depth=3)
+        signed = [make_signed(attest_key, i) for i in range(9)]
+        signed.append(signed[4])  # a resend, admitted after its original
+        shard_of = [server.shard_for(s.report.device_id) for s in signed]
+        assert len(set(shard_of)) == 3
+
+        admitted = {}
+        expected = []
+        for index, shard in enumerate(shard_of):
+            queue = admitted.setdefault(shard, [])
+            if len(queue) < 3:
+                queue.append(index)
+                expected.append(SubmitStatus.ACCEPTED)
+            else:
+                expected.append(SubmitStatus.DROPPED)
+        expected[9] = SubmitStatus.DUPLICATE
+        assert 9 in admitted[shard_of[9]] and SubmitStatus.DROPPED in expected
+
+        order = []
+        submit = server.submit
+        server.submit = lambda item: order.append(item.report.device_id) or submit(item)
+        stats = ConnStats(0, "test")
+        drops = server.metrics.counter("drops")
+        frames = [encode_report(s) for s in signed]
+        assert service._answer(frames, stats, drops) == expected
+        assert order == [
+            signed[index].report.device_id
+            for queue in admitted.values() for index in queue
+        ]
+        dropped = expected.count(SubmitStatus.DROPPED)
+        assert stats.dropped == drops.value == dropped
+        assert server.metrics.counter("reporting.dropped_backpressure").value == dropped
+        assert server.metrics.counter("reporting.received").value == len(frames)
+
+    def test_pipelined_shards_match_inproc_and_followers_match_leader(
+        self, attest_key, tmp_path
+    ):
+        # One pipelined batch across several shards into a durable leader
+        # with two followers: the chunk is admitted, submitted shard by
+        # shard and answered in one turn, yet its statuses equal an
+        # in-process replay in frame order, and after stop() every
+        # follower WAL equals the leader's.
+        signed = [make_signed(attest_key, i) for i in range(24)]
+        forged = dataclasses.replace(signed[3], signature=signed[3].signature ^ 1)
+        frames = [encode_report(s) for s in signed]
+        frames[5:5] = [frames[2], encode_report(forged), malformed_frame()]
+        frames += [frames[0], frames[17]]
+
+        replay = make_server()
+        assert len({replay.shard_for(s.report.device_id) for s in signed}) >= 3
+        expected = [replay.submit(frame) for frame in frames]
+
+        leader_dir = tmp_path / "leader"
+        server = make_server(data_dir=str(leader_dir), snapshot_every=8)
+        registered = server.metrics.counter("wal.appends").value
+        handle = ServiceHandle.start(server, replication_port=0)
+        followers = []
+        try:
+            for name in ("replica-a", "replica-b"):
+                follower = ReplicaFollower(
+                    str(tmp_path / name), handle.replication_address,
+                    expect_shards=4,
+                ).start()
+                followers.append(follower)
+                assert follower.wait_applied(1)
+            transport = TcpTransport(handle.address)
+            assert transport.send_many(frames) == expected
+            transport.close()
+            # The takedown is journaled right before stop(), whose drain
+            # must still ship it to every follower.
+            handle.call(lambda s: s.process())
+            assert handle.call(lambda s: s.verdict(APP)) == (
+                AggregatedVerdict.TAKEDOWN, PIRATE
+            )
+        finally:
+            handle.stop()
+        compactions = server.metrics.counter("snapshot.compactions").value
+        appends = server.metrics.counter("wal.appends").value
+        assert compactions >= 1
+        try:
+            for follower in followers:
+                # Bootstrap snapshot + every record after it + one
+                # snapshot per compaction.
+                assert follower.wait_applied(1 + appends - registered + compactions)
+                follower.stop()
+                for index in range(-1, 4):
+                    leader_wal = wal_path(str(leader_dir), index)
+                    follower_wal = wal_path(follower.data_dir, index)
+                    with open(leader_wal, "rb") as a, open(follower_wal, "rb") as b:
+                        assert a.read() == b.read(), leader_wal
+        finally:
+            for follower in followers:
+                follower.stop()
+            server.crash()
 
     def test_ingest_latency_histogram_observed(self, attest_key):
         server = make_server()
