@@ -24,6 +24,7 @@ import struct
 from repro.apk.manifest import Manifest
 from repro.apk.package import Apk
 from repro.apk.signing import Certificate
+from repro.codec import Reader
 from repro.errors import ApkError
 
 MAGIC = b"RAPK"
@@ -61,26 +62,12 @@ def apk_from_bytes(data: bytes, source: str = "<bytes>") -> Apk:
     """Parse a framed container; raises :class:`ApkError` on bad input."""
     if data[:4] != MAGIC:
         raise ApkError(f"{source} is not a repro APK file")
-    offset = 4
-
-    def take(size: int) -> bytes:
-        nonlocal offset
-        if offset + size > len(data):
-            raise ApkError(f"{source} is truncated at byte {len(data)}")
-        offset += size
-        return data[offset - size : offset]
-
-    def length(width: int) -> int:
-        return int.from_bytes(take(width), "big")
-
+    r = Reader(data, ApkError, len(MAGIC))
     entries = {}
-    for _ in range(length(2)):
-        try:
-            name = take(length(2)).decode("utf-8")
-        except UnicodeDecodeError:
-            raise ApkError(f"{source} has a non-UTF-8 entry name") from None
-        entries[name] = take(length(4))
-    cert = Certificate.parse(take(length(4)))
+    for _ in range(r.u16(source)):
+        name = r.text(r.u16(source), f"{source} entry name")
+        entries[name] = r.take(r.u32(source), source)
+    cert = Certificate.parse(r.take(r.u32(source), source))
     manifest = (
         Manifest.parse(entries[_MANIFEST_ENTRY])
         if _MANIFEST_ENTRY in entries

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.codec import Reader
 from repro.crypto import RSAKeyPair, RSAPublicKey
 from repro.errors import ApkError, CryptoError, SignatureError
 
@@ -34,15 +35,9 @@ class Certificate:
 
     @classmethod
     def parse(cls, blob: bytes) -> "Certificate":
-        if len(blob) < 4:
-            raise ApkError("truncated CERT.RSA")
-        key_len = int.from_bytes(blob[:2], "big")
-        key_blob = blob[2 : 2 + key_len]
-        offset = 2 + key_len
-        sig_len = int.from_bytes(blob[offset : offset + 2], "big")
-        sig_blob = blob[offset + 2 : offset + 2 + sig_len]
-        if len(key_blob) != key_len or len(sig_blob) != sig_len:
-            raise ApkError("malformed CERT.RSA")
+        r = Reader(blob, ApkError)
+        key_blob = r.take(r.u16("CERT.RSA"), "CERT.RSA")
+        sig_blob = r.take(r.u16("CERT.RSA"), "CERT.RSA")
         try:
             public_key = RSAPublicKey.from_bytes(key_blob)
         except CryptoError as exc:

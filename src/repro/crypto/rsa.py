@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.codec import Reader
 from repro.crypto.sha1 import sha1
 from repro.errors import CryptoError
 
@@ -94,13 +95,10 @@ class RSAPublicKey:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "RSAPublicKey":
-        if len(blob) < 6:
-            raise CryptoError("truncated public key blob")
-        n_len = int.from_bytes(blob[:2], "big")
-        if len(blob) != 2 + n_len + 4:
-            raise CryptoError("malformed public key blob")
-        n = int.from_bytes(blob[2 : 2 + n_len], "big")
-        e = int.from_bytes(blob[2 + n_len :], "big")
+        r = Reader(blob, CryptoError)
+        n = int.from_bytes(r.take(r.u16("public key blob"), "public key blob"), "big")
+        e = r.u32("public key blob")
+        r.end("public key blob")
         return cls(n=n, e=e)
 
 

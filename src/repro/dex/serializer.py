@@ -30,20 +30,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List, Tuple
+from typing import List
 
+from repro.codec import Reader
 from repro.dex.instructions import Instr
 from repro.dex.model import DexClass, DexField, DexFile, DexMethod
 from repro.dex.opcodes import Op
 from repro.errors import DexError, DexFormatError
-
-def _unpack_from(fmt: str, blob: bytes, offset: int):
-    """struct.unpack_from that fails with the library's own error."""
-    try:
-        return struct.unpack_from(fmt, blob, offset)
-    except struct.error as exc:
-        raise DexFormatError(f"truncated dex blob: {exc}") from None
-
 
 MAGIC = b"RDEX"
 VERSION = 2
@@ -70,24 +63,20 @@ _TAG_STR = b"S"
 _TAG_BYTES = b"B"
 _TAG_TABLE = b"D"
 
+_INT = struct.Struct(">q")
+_INSTR_HEAD = struct.Struct(">BB")
+_METHOD_HEAD = struct.Struct(">HHI")
+#: ``u16`` argument registers, one layout per ``u8`` count.
+_ARGS = [struct.Struct(f">{count}H") for count in range(256)]
+
 
 def _pack_str(text: str) -> bytes:
     data = text.encode("utf-8")
     return struct.pack(">I", len(data)) + data
 
 
-def _unpack_str(blob: bytes, offset: int) -> Tuple[str, int]:
-    if offset + 4 > len(blob):
-        raise DexFormatError("truncated string length")
-    (length,) = _unpack_from(">I", blob, offset)
-    offset += 4
-    if offset + length > len(blob):
-        raise DexFormatError("truncated string body")
-    try:
-        text = blob[offset : offset + length].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DexFormatError(f"string is not UTF-8: {exc}") from None
-    return text, offset + length
+def _read_str(r: Reader) -> str:
+    return r.text(r.u32("string length"), "string")
 
 
 def _pack_value(value) -> bytes:
@@ -115,49 +104,32 @@ def _pack_value(value) -> bytes:
     raise DexFormatError(f"cannot serialize value of type {type(value).__name__}")
 
 
-def _unpack_value(blob: bytes, offset: int):
-    if offset >= len(blob):
-        raise DexFormatError("truncated value tag")
-    tag = blob[offset : offset + 1]
-    offset += 1
+def _read_value(r: Reader):
+    tag = r.take(1, "value tag")
     if tag == _TAG_NULL:
-        return None, offset
+        return None
     if tag == _TAG_TRUE:
-        return True, offset
+        return True
     if tag == _TAG_FALSE:
-        return False, offset
+        return False
     if tag == _TAG_INT:
-        if offset + 8 > len(blob):
-            raise DexFormatError("truncated int")
-        (value,) = _unpack_from(">q", blob, offset)
-        return value, offset + 8
+        return r.unpack(_INT, "int")[0]
     if tag == _TAG_BIGINT:
-        (length,) = _unpack_from(">I", blob, offset)
-        offset += 4
-        raw = blob[offset : offset + length]
-        if len(raw) != length:
-            raise DexFormatError("truncated bigint")
-        return int.from_bytes(raw, "big", signed=True), offset + length
+        return int.from_bytes(r.take(r.u32("bigint"), "bigint"), "big", signed=True)
     if tag == _TAG_STR:
-        return _unpack_str(blob, offset)
+        return _read_str(r)
     if tag == _TAG_BYTES:
-        (length,) = _unpack_from(">I", blob, offset)
-        offset += 4
-        raw = blob[offset : offset + length]
-        if len(raw) != length:
-            raise DexFormatError("truncated bytes")
-        return raw, offset + length
+        return r.take(r.u32("bytes"), "bytes")
     if tag == _TAG_TABLE:
-        (count,) = _unpack_from(">H", blob, offset)
-        offset += 2
         table = {}
-        for _ in range(count):
-            if blob[offset : offset + 1] == _TAG_TABLE:
+        for _ in range(r.u16("switch table")):
+            # Refused before parsing, so a chain of nested tables cannot
+            # recurse past the interpreter's stack.
+            if r.blob[r.offset : r.offset + 1] == _TAG_TABLE:
                 raise DexFormatError("switch-table key is itself a table")
-            key, offset = _unpack_value(blob, offset)
-            label, offset = _unpack_str(blob, offset)
-            table[key] = label
-        return table, offset
+            key = _read_value(r)
+            table[key] = _read_str(r)
+        return table
     raise DexFormatError(f"unknown value tag {tag!r}")
 
 
@@ -192,42 +164,22 @@ def _pack_instr(instr: Instr) -> bytes:
     return struct.pack(">BB", _OP_TO_CODE[instr.op], flags) + body + value_blob + args_blob
 
 
-def _unpack_instr(blob: bytes, offset: int) -> Tuple[Instr, int]:
-    if offset + 2 > len(blob):
-        raise DexFormatError("truncated instruction header")
-    code, flags = _unpack_from(">BB", blob, offset)
-    offset += 2
-    try:
-        op = _CODE_TO_OP[code]
-    except KeyError:
-        raise DexFormatError(f"unknown opcode byte {code:#x}") from None
-    dst = a = b = None
-    if flags & _FLAG_DST:
-        (dst,) = _unpack_from(">H", blob, offset)
-        offset += 2
-    if flags & _FLAG_A:
-        (a,) = _unpack_from(">H", blob, offset)
-        offset += 2
-    if flags & _FLAG_B:
-        (b,) = _unpack_from(">H", blob, offset)
-        offset += 2
-    value = None
-    if flags & _FLAG_VALUE:
-        value, offset = _unpack_value(blob, offset)
-    target = None
-    if flags & _FLAG_TARGET:
-        target, offset = _unpack_str(blob, offset)
-    args: Tuple[int, ...] = ()
-    if flags & _FLAG_ARGS:
-        (count,) = _unpack_from(">B", blob, offset)
-        offset += 1
-        regs: List[int] = []
-        for _ in range(count):
-            (reg,) = _unpack_from(">H", blob, offset)
-            offset += 2
-            regs.append(reg)
-        args = tuple(regs)
-    return Instr(op, dst=dst, a=a, b=b, value=value, target=target, args=args), offset
+def _read_instr(r: Reader) -> Instr:
+    code, flags = r.unpack(_INSTR_HEAD, "instruction header")
+    op = _CODE_TO_OP.get(code)
+    if op is None:
+        raise DexFormatError(f"unknown opcode byte {code:#x}")
+    return Instr(
+        op,
+        dst=r.u16("register") if flags & _FLAG_DST else None,
+        a=r.u16("register") if flags & _FLAG_A else None,
+        b=r.u16("register") if flags & _FLAG_B else None,
+        value=_read_value(r) if flags & _FLAG_VALUE else None,
+        target=_read_str(r) if flags & _FLAG_TARGET else None,
+        args=r.unpack(_ARGS[r.u8("argument count")], "arguments")
+        if flags & _FLAG_ARGS
+        else (),
+    )
 
 
 def serialize_dex(dex: DexFile) -> bytes:
@@ -262,62 +214,47 @@ def deserialize_dex(blob: bytes) -> DexFile:
     """
     if blob[:4] != MAGIC:
         raise DexFormatError("bad magic (not an RDEX blob)")
-    (version,) = _unpack_from(">H", blob, 4)
+    version = Reader(blob, DexFormatError, len(MAGIC)).u16("version")
     if version not in (VERSION, _LEGACY_VERSION):
         raise DexFormatError(f"unsupported version {version}")
     if version >= 2:
         if len(blob) < 8 + _CRC_SIZE:
             raise DexFormatError("truncated dex blob: missing crc footer")
-        (expected_crc,) = _unpack_from(">I", blob, len(blob) - _CRC_SIZE)
-        blob = blob[: len(blob) - _CRC_SIZE]
+        footer = len(blob) - _CRC_SIZE
+        expected_crc = Reader(blob, DexFormatError, footer).u32("crc footer")
+        blob = blob[:footer]
         if zlib.crc32(blob) != expected_crc:
             raise DexFormatError("crc mismatch (corrupt dex blob)")
     try:
-        return _unpack_classes(blob)
+        return _read_classes(Reader(blob, DexFormatError, 6))
     except DexFormatError:
         raise
     except DexError as exc:
         raise DexFormatError(f"invalid dex structure: {exc}") from None
 
 
-def _unpack_classes(blob: bytes) -> DexFile:
+def _read_classes(r: Reader) -> DexFile:
     """Parse the class section of a footer-stripped blob."""
-    (class_count,) = _unpack_from(">H", blob, 6)
-    offset = 8
     dex = DexFile()
-    for _ in range(class_count):
-        name, offset = _unpack_str(blob, offset)
+    for _ in range(r.u16("class count")):
+        name = _read_str(r)
         cls = DexClass(name=name)
-        (field_count,) = _unpack_from(">H", blob, offset)
-        offset += 2
-        for _ in range(field_count):
-            field_name, offset = _unpack_str(blob, offset)
-            if offset >= len(blob):
-                raise DexFormatError("truncated field static flag")
-            static = blob[offset] == 1
-            offset += 1
-            initial, offset = _unpack_value(blob, offset)
-            cls.add_field(DexField(name=field_name, static=static, initial=initial))
-        (method_count,) = _unpack_from(">H", blob, offset)
-        offset += 2
-        for _ in range(method_count):
-            method_name, offset = _unpack_str(blob, offset)
-            params, registers, instr_count = _unpack_from(">HHI", blob, offset)
-            offset += 8
-            instructions: List[Instr] = []
-            for _ in range(instr_count):
-                instr, offset = _unpack_instr(blob, offset)
-                instructions.append(instr)
+        for _ in range(r.u16("field count")):
+            field_name = _read_str(r)
+            static = r.u8("field static flag") == 1
+            cls.add_field(DexField(name=field_name, static=static, initial=_read_value(r)))
+        for _ in range(r.u16("method count")):
+            method_name = _read_str(r)
+            params, registers, count = r.unpack(_METHOD_HEAD, "method header")
             cls.add_method(
                 DexMethod(
                     name=method_name,
                     class_name=name,
                     params=params,
                     registers=registers,
-                    instructions=instructions,
+                    instructions=[_read_instr(r) for _ in range(count)],
                 )
             )
         dex.add_class(cls)
-    if offset != len(blob):
-        raise DexFormatError(f"{len(blob) - offset} trailing bytes after dex payload")
+    r.end("dex payload")
     return dex

@@ -56,14 +56,15 @@ import zlib
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.chaos.faults import fault_point
+from repro.codec import Reader
 from repro.errors import DurabilityError, ReproError, WireError
 from repro.metrics import MetricsRegistry
 from repro.reporting.wire import (
     DetectionReport,
-    _decode_body,
-    _pack_str,
-    _unpack_str,
     canonical_bytes,
+    decode_report_body,
+    pack_str,
+    read_str,
 )
 
 #: WAL record types.
@@ -82,6 +83,9 @@ SNAPSHOT_NAME = "snapshot.bin"
 
 #: ``>I length | >I crc32`` record header.
 _HEADER = struct.Struct(">II")
+_F64 = struct.Struct(">d")
+#: ``>d clock | >Q retired``, the head of every snapshot payload.
+_CLOCK = struct.Struct(">dQ")
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ def encode_report_record(app_name: str, report: DetectionReport) -> bytes:
     return b"".join(
         (
             struct.pack(">BB", RECORD_REPORT, 0),
-            _pack_str(app_name),
+            pack_str(app_name),
             canonical_bytes(report),
         )
     )
@@ -109,8 +113,8 @@ def encode_takedown_record(app_name: str, key_hex: str, ts: float) -> bytes:
     return b"".join(
         (
             struct.pack(">B", RECORD_TAKEDOWN),
-            _pack_str(app_name),
-            _pack_str(key_hex),
+            pack_str(app_name),
+            pack_str(key_hex),
             struct.pack(">d", ts),
         )
     )
@@ -121,8 +125,8 @@ def encode_register_record(app_name: str, original_key_hex: str) -> bytes:
     return b"".join(
         (
             struct.pack(">B", RECORD_REGISTER),
-            _pack_str(app_name),
-            _pack_str(original_key_hex),
+            pack_str(app_name),
+            pack_str(original_key_hex),
         )
     )
 
@@ -139,38 +143,25 @@ def decode_record(payload: bytes) -> Tuple:
     ``("takedown", app, key, ts)``, ``("register", app, key)``,
     ``("epoch", epoch)``.
     """
-    if not payload:
-        raise WireError("empty WAL record")
-    kind = payload[0]
+    r = Reader(payload, WireError)
+    kind = r.u8("WAL record")
     if kind == RECORD_REPORT:
-        if len(payload) < 2:
-            raise WireError("truncated WAL report record")
-        app_name, offset = _unpack_str(payload, 2)
-        return ("report", app_name, _decode_body(payload[offset:]))
+        r.u8("WAL report record")  # the retired flag
+        app_name = read_str(r)
+        return ("report", app_name, decode_report_body(r.rest()))
     if kind == RECORD_TAKEDOWN:
-        app_name, offset = _unpack_str(payload, 1)
-        key_hex, offset = _unpack_str(payload, offset)
-        if offset + 8 != len(payload):
-            raise WireError("malformed WAL takedown record")
-        (ts,) = struct.unpack_from(">d", payload, offset)
-        return ("takedown", app_name, key_hex, ts)
-    if kind == RECORD_REGISTER:
-        app_name, offset = _unpack_str(payload, 1)
-        key_hex, offset = _unpack_str(payload, offset)
-        if offset != len(payload):
-            raise WireError("malformed WAL register record")
-        return ("register", app_name, key_hex)
-    if kind == RECORD_EPOCH:
-        if len(payload) != 9:
-            raise WireError("malformed WAL epoch record")
-        (epoch,) = struct.unpack_from(">Q", payload, 1)
-        return ("epoch", epoch)
-    raise WireError(f"unknown WAL record type {kind}")
-
-
-def decode_report_body(body: bytes) -> DetectionReport:
-    """Decode a canonical report body (snapshot queue entries)."""
-    return _decode_body(body)
+        app_name = read_str(r)
+        key_hex = read_str(r)
+        (ts,) = r.unpack(_F64, "WAL takedown record")
+        record = ("takedown", app_name, key_hex, ts)
+    elif kind == RECORD_REGISTER:
+        record = ("register", read_str(r), read_str(r))
+    elif kind == RECORD_EPOCH:
+        record = ("epoch", r.u64("WAL epoch record"))
+    else:
+        raise WireError(f"unknown WAL record type {kind}")
+    r.end("WAL record")
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +191,19 @@ def encode_snapshot(state: dict) -> bytes:
         struct.pack(">H", len(state["apps"])),
     ]
     for app in state["apps"]:
-        parts.append(_pack_str(app["name"]))
-        parts.append(_pack_str(app["key"]))
+        parts.append(pack_str(app["name"]))
+        parts.append(pack_str(app["key"]))
         if app["takedown_key"] is None:
             parts.append(struct.pack(">B", 0))
         else:
             parts.append(struct.pack(">B", 1))
-            parts.append(_pack_str(app["takedown_key"]))
+            parts.append(pack_str(app["takedown_key"]))
             parts.append(struct.pack(">d", app["takedown_ts"] or 0.0))
         parts.append(struct.pack(">H", len(app["shards"])))
         for shard in app["shards"]:
             parts.append(struct.pack(">I", len(shard["nonces"])))
             for device, nonce in shard["nonces"]:
-                parts.append(_pack_str(device))
+                parts.append(pack_str(device))
                 parts.append(struct.pack(">Q", nonce & 0xFFFFFFFFFFFFFFFF))
             parts.append(struct.pack(">I", len(shard["queue"])))
             for body in shard["queue"]:
@@ -220,83 +211,48 @@ def encode_snapshot(state: dict) -> bytes:
                 parts.append(body)
             parts.append(struct.pack(">H", len(shard["windows"])))
             for key, entries in shard["windows"]:
-                parts.append(_pack_str(key))
+                parts.append(pack_str(key))
                 parts.append(struct.pack(">I", len(entries)))
                 for ts, device in entries:
                     parts.append(struct.pack(">d", ts))
-                    parts.append(_pack_str(device))
+                    parts.append(pack_str(device))
     return b"".join(parts)
 
 
 def decode_snapshot(payload: bytes) -> dict:
     """Inverse of :func:`encode_snapshot`; raises :class:`WireError`."""
-    try:
-        return _decode_snapshot(payload)
-    except (struct.error, IndexError) as exc:
-        raise WireError(f"malformed snapshot: {exc}") from None
-
-
-def _decode_snapshot(payload: bytes) -> dict:
-    if not payload or payload[0] not in (1, SNAPSHOT_VERSION):
+    r = Reader(payload, WireError)
+    version = r.u8("snapshot version")
+    if version not in (1, SNAPSHOT_VERSION):
         raise WireError("unsupported snapshot version")
-    version = payload[0]
-    offset = 1
-    (clock,) = struct.unpack_from(">d", payload, offset)
-    offset += 16  # and the retired 8-byte field after it
-    epoch = 0
-    if version >= 2:
-        (epoch,) = struct.unpack_from(">Q", payload, offset)
-        offset += 8
-    (napps,) = struct.unpack_from(">H", payload, offset)
-    offset += 2
+    clock, _ = r.unpack(_CLOCK, "snapshot header")
+    epoch = r.u64("snapshot epoch") if version >= 2 else 0
     apps = []
-    for _ in range(napps):
-        name, offset = _unpack_str(payload, offset)
-        key, offset = _unpack_str(payload, offset)
-        has_takedown = payload[offset]
-        offset += 1
+    for _ in range(r.u16("snapshot")):
+        name = read_str(r)
+        key = read_str(r)
         takedown_key: Optional[str] = None
         takedown_ts: Optional[float] = None
-        if has_takedown:
-            takedown_key, offset = _unpack_str(payload, offset)
-            (takedown_ts,) = struct.unpack_from(">d", payload, offset)
-            offset += 8
-        (nshards,) = struct.unpack_from(">H", payload, offset)
-        offset += 2
+        if r.u8("snapshot takedown flag"):
+            takedown_key = read_str(r)
+            (takedown_ts,) = r.unpack(_F64, "snapshot takedown time")
         shards = []
-        for _ in range(nshards):
-            (n_nonces,) = struct.unpack_from(">I", payload, offset)
-            offset += 4
-            nonces = []
-            for _ in range(n_nonces):
-                device, offset = _unpack_str(payload, offset)
-                (nonce,) = struct.unpack_from(">Q", payload, offset)
-                offset += 8
-                nonces.append((device, nonce))
-            (n_queue,) = struct.unpack_from(">I", payload, offset)
-            offset += 4
-            queue = []
-            for _ in range(n_queue):
-                (body_len,) = struct.unpack_from(">I", payload, offset)
-                offset += 4
-                body = payload[offset : offset + body_len]
-                if len(body) != body_len:
-                    raise WireError("truncated snapshot queue entry")
-                offset += body_len
-                queue.append(body)
-            (n_windows,) = struct.unpack_from(">H", payload, offset)
-            offset += 2
+        for _ in range(r.u16("snapshot")):
+            nonces = [
+                (read_str(r), r.u64("snapshot nonce"))
+                for _ in range(r.u32("snapshot"))
+            ]
+            queue = [
+                r.take(r.u32("snapshot"), "snapshot queue entry")
+                for _ in range(r.u32("snapshot"))
+            ]
             windows = []
-            for _ in range(n_windows):
-                wkey, offset = _unpack_str(payload, offset)
-                (n_entries,) = struct.unpack_from(">I", payload, offset)
-                offset += 4
+            for _ in range(r.u16("snapshot")):
+                wkey = read_str(r)
                 entries = []
-                for _ in range(n_entries):
-                    (ts,) = struct.unpack_from(">d", payload, offset)
-                    offset += 8
-                    device, offset = _unpack_str(payload, offset)
-                    entries.append((ts, device))
+                for _ in range(r.u32("snapshot")):
+                    (ts,) = r.unpack(_F64, "snapshot window entry")
+                    entries.append((ts, read_str(r)))
                 windows.append((wkey, entries))
             shards.append({"nonces": nonces, "queue": queue, "windows": windows})
         apps.append(
@@ -308,8 +264,7 @@ def _decode_snapshot(payload: bytes) -> dict:
                 "shards": shards,
             }
         )
-    if offset != len(payload):
-        raise WireError("trailing bytes after snapshot payload")
+    r.end("snapshot payload")
     return {"clock": clock, "epoch": epoch, "apps": apps}
 
 

@@ -38,6 +38,7 @@ import struct
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.codec import U16, Reader
 from repro.errors import TransportError, WireError
 from repro.reporting.server import SubmitStatus
 from repro.reporting.wire import WIRE_MAGIC
@@ -312,32 +313,32 @@ def encode_health(health: HealthStatus) -> bytes:
     )
 
 
-_HEALTH_FIXED = struct.calcsize(">QBQIIQ")
+_HEALTH_FIXED = struct.Struct(">QBQIIQ")
 
 
-def _utf8(raw: bytes, what: str) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        raise WireError(f"{what} is not UTF-8") from None
+def encode_health_reply(health: HealthStatus) -> bytes:
+    """A probe's answer: ``>H len | health payload``."""
+    payload = encode_health(health)
+    return U16.pack(len(payload)) + payload
+
+
+def recv_health(sock: socket.socket) -> HealthStatus:
+    """Read and decode one :func:`encode_health_reply` from ``sock``."""
+    (length,) = U16.unpack(recv_exact(sock, U16.size))
+    return decode_health(recv_exact(sock, length))
 
 
 def decode_health(payload: bytes) -> HealthStatus:
     """Inverse of :func:`encode_health`; raises :class:`WireError`."""
-    try:
-        epoch, role_byte, applied, wal_depth, queue_depth, dropped = (
-            struct.unpack_from(">QBQIIQ", payload, 0)
-        )
-        (endpoint_len,) = struct.unpack_from(">H", payload, _HEALTH_FIXED)
-    except struct.error:
-        raise WireError("truncated health payload") from None
-    offset = _HEALTH_FIXED + 2
-    endpoint = payload[offset : offset + endpoint_len]
-    if len(endpoint) != endpoint_len or offset + endpoint_len != len(payload):
-        raise WireError("malformed health payload")
+    r = Reader(payload, WireError)
+    epoch, role_byte, applied, wal_depth, queue_depth, dropped = r.unpack(
+        _HEALTH_FIXED, "health payload"
+    )
     role = _BYTE_TO_ROLE.get(role_byte)
     if role is None:
         raise WireError(f"unknown health role byte 0x{role_byte:02x}")
+    endpoint = r.text(r.u16("health payload"), "health endpoint")
+    r.end("health payload")
     return HealthStatus(
         epoch=epoch,
         role=role,
@@ -345,27 +346,44 @@ def decode_health(payload: bytes) -> HealthStatus:
         wal_depth=wal_depth,
         queue_depth=queue_depth,
         dropped=dropped,
-        endpoint=_utf8(endpoint, "health endpoint"),
+        endpoint=endpoint,
     )
+
+
+#: ``>Q epoch | >H len``, the fixed head of a redirect or fence body.
+_REDIRECT_HEAD = struct.Struct(">QH")
 
 
 def encode_redirect(epoch: int, endpoint: str) -> bytes:
     """Payload a fenced node writes after a NOT_LEADER status byte:
     ``>Q epoch | >H len | endpoint utf-8`` (the new leader)."""
     raw = endpoint.encode("utf-8")
-    return struct.pack(">QH", epoch & 0xFFFFFFFFFFFFFFFF, len(raw)) + raw
+    return _REDIRECT_HEAD.pack(epoch & 0xFFFFFFFFFFFFFFFF, len(raw)) + raw
+
+
+def redirect_end(buffer: bytes, offset: int = 0) -> "int | None":
+    """End offset of the redirect (or fence) body that starts at
+    ``offset`` in a stream buffer, or None while the body is torn."""
+    if len(buffer) < offset + _REDIRECT_HEAD.size:
+        return None
+    _, endpoint_len = _REDIRECT_HEAD.unpack_from(buffer, offset)
+    end = offset + _REDIRECT_HEAD.size + endpoint_len
+    return end if len(buffer) >= end else None
+
+
+def recv_redirect(sock: socket.socket) -> Tuple[int, str]:
+    """Read and decode one redirect body from ``sock``."""
+    head = recv_exact(sock, _REDIRECT_HEAD.size)
+    return decode_redirect(head + recv_exact(sock, _REDIRECT_HEAD.unpack(head)[1]))
 
 
 def decode_redirect(payload: bytes) -> Tuple[int, str]:
     """Inverse of :func:`encode_redirect`; raises :class:`WireError`."""
-    try:
-        epoch, endpoint_len = struct.unpack_from(">QH", payload, 0)
-    except struct.error:
-        raise WireError("truncated NOT_LEADER redirect") from None
-    raw = payload[10 : 10 + endpoint_len]
-    if len(raw) != endpoint_len or 10 + endpoint_len != len(payload):
-        raise WireError("malformed NOT_LEADER redirect")
-    return epoch, _utf8(raw, "NOT_LEADER redirect endpoint")
+    r = Reader(payload, WireError)
+    epoch, endpoint_len = r.unpack(_REDIRECT_HEAD, "NOT_LEADER redirect")
+    endpoint = r.text(endpoint_len, "NOT_LEADER redirect endpoint")
+    r.end("NOT_LEADER redirect")
+    return epoch, endpoint
 
 
 #: A fence request body reuses the redirect layout (epoch + endpoint).

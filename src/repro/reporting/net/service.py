@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import struct
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple, TypeVar
@@ -67,10 +66,12 @@ from repro.reporting.net.framing import (
     MessageReader,
     decode_fence,
     encode_health,
+    encode_health_reply,
     encode_message,
     encode_redirect,
     encode_status,
     format_endpoint,
+    redirect_end,
 )
 from repro.reporting.server import ReportServer, SubmitStatus
 from repro.reporting.wire import SignedReport, decode_report
@@ -330,18 +331,14 @@ class IngestService:
             head = bytes(buffer[:4])
             if head == HEALTH_MAGIC:
                 del buffer[:4]
-                payload = encode_health(self.health_status())
-                writer.write(struct.pack(">H", len(payload)) + payload)
+                writer.write(encode_health_reply(self.health_status()))
                 await writer.drain()
                 stats.frames += 1
                 self.metrics.counter("reporting.net.health_probes").inc()
                 continue
             if head == FENCE_MAGIC:
-                if len(buffer) < 14:
-                    return True
-                (endpoint_len,) = struct.unpack_from(">H", buffer, 12)
-                total = 14 + endpoint_len
-                if len(buffer) < total:
+                total = redirect_end(buffer, len(FENCE_MAGIC))
+                if total is None:
                     return True
                 try:
                     epoch, endpoint = decode_fence(bytes(buffer[4:total]))

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -58,10 +57,10 @@ from repro.reporting.net.framing import (
     FENCE_MAGIC,
     HEALTH_MAGIC,
     HealthStatus,
-    decode_health,
     encode_fence,
     format_endpoint,
     recv_exact,
+    recv_health,
 )
 from repro.reporting.net.replication import ReplicaFollower
 from repro.reporting.net.service import ServiceHandle
@@ -98,9 +97,7 @@ def probe_health(
     with socket.create_connection(endpoint, timeout=timeout) as sock:
         sock.settimeout(timeout)
         sock.sendall(HEALTH_MAGIC)
-        (length,) = struct.unpack(">H", recv_exact(sock, 2))
-        payload = recv_exact(sock, length)
-    return decode_health(payload)
+        return recv_health(sock)
 
 
 def send_fence(

@@ -45,7 +45,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.chaos.faults import fault_point
 from repro.errors import FaultInjected, TransportError, WireError
-from repro.reporting.net.framing import decode_redirect, decode_status, recv_exact
+from repro.reporting.net.framing import decode_status, recv_redirect
 from repro.reporting.server import SubmitStatus
 from repro.reporting.wire import SignedReport, encode_report
 
@@ -54,9 +54,6 @@ Endpoint = Union[
     Sequence[Tuple[str, int]],
     Callable[[], Tuple[str, int]],
 ]
-
-#: ``>Q epoch | >H len`` -- fixed part of a NOT_LEADER redirect payload.
-_REDIRECT_HEADER = 10
 
 
 class _LinkClock:
@@ -216,9 +213,7 @@ class TcpTransport:
             return status, None
         # A NOT_LEADER byte is followed by its redirect payload.
         try:
-            header = recv_exact(sock, _REDIRECT_HEADER)
-            endpoint_len = int.from_bytes(header[8:10], "big")
-            epoch, endpoint = decode_redirect(header + recv_exact(sock, endpoint_len))
+            epoch, endpoint = recv_redirect(sock)
         except TransportError:
             self.close()
             raise

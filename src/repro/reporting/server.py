@@ -53,6 +53,7 @@ from repro.reporting.wire import (
     SignedReport,
     canonical_bytes,
     decode_report,
+    decode_report_body,
     report_from_json,
 )
 from repro.reporting.verdicts import AggregatedVerdict
@@ -508,8 +509,6 @@ class ReportServer:
 
     def _restore_state(self, state: dict) -> None:
         """Inverse of :meth:`_snapshot_state` (crash recovery)."""
-        from repro.reporting.durability import decode_report_body
-
         self.clock = state["clock"]
         self.epoch = state.get("epoch", 0)
         for app_state in state["apps"]:

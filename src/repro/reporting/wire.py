@@ -38,6 +38,7 @@ import struct
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.codec import Reader
 from repro.crypto.rsa import RSAKeyPair, RSAPublicKey
 from repro.errors import CryptoError, WireError
 
@@ -49,6 +50,9 @@ WIRE_MAGIC = b"DRPT"
 
 #: Structured text-channel prefix emitted by the REPORT response.
 TEXT_PREFIX = "repackaged:v1:"
+
+#: ``>d timestamp | >Q nonce``, the fixed tail of a report body.
+_BODY_TAIL = struct.Struct(">dQ")
 
 
 @dataclass(frozen=True)
@@ -65,24 +69,17 @@ class DetectionReport:
     version: int = WIRE_VERSION
 
 
-def _pack_str(value: str) -> bytes:
+def pack_str(value: str) -> bytes:
+    """One ``>H``-prefixed UTF-8 field (report bodies, WAL records, snapshots)."""
     encoded = value.encode("utf-8")
     if len(encoded) > 0xFFFF:
         raise WireError("report field too long")
     return struct.pack(">H", len(encoded)) + encoded
 
 
-def _unpack_str(blob: bytes, offset: int):
-    if offset + 2 > len(blob):
-        raise WireError("truncated report field")
-    (length,) = struct.unpack_from(">H", blob, offset)
-    offset += 2
-    if offset + length > len(blob):
-        raise WireError("truncated report field")
-    try:
-        return blob[offset : offset + length].decode("utf-8"), offset + length
-    except UnicodeDecodeError:
-        raise WireError("report field is not UTF-8") from None
+def read_str(r: Reader) -> str:
+    """Inverse of :func:`pack_str`: one ``>H``-prefixed UTF-8 field."""
+    return r.text(r.u16("report field"), "report field")
 
 
 def canonical_bytes(report: DetectionReport) -> bytes:
@@ -90,11 +87,11 @@ def canonical_bytes(report: DetectionReport) -> bytes:
     return b"".join(
         (
             struct.pack(">B", report.version),
-            _pack_str(report.app_name),
-            _pack_str(report.bomb_id),
-            _pack_str(report.device_id),
-            _pack_str(report.observed_key_hex),
-            _pack_str(report.detection_method),
+            pack_str(report.app_name),
+            pack_str(report.bomb_id),
+            pack_str(report.device_id),
+            pack_str(report.observed_key_hex),
+            pack_str(report.detection_method),
             struct.pack(">d", report.timestamp),
             struct.pack(">Q", report.nonce & 0xFFFFFFFFFFFFFFFF),
         )
@@ -157,56 +154,33 @@ def decode_report(blob: bytes) -> SignedReport:
     """Inverse of :func:`encode_report`; raises :class:`WireError`."""
     if not isinstance(blob, (bytes, bytearray)) or blob[:4] != WIRE_MAGIC:
         raise WireError("not a detection-report frame")
-    blob = bytes(blob)
-    offset = 4
-    if offset + 4 > len(blob):
-        raise WireError("truncated report frame")
-    (body_len,) = struct.unpack_from(">I", blob, offset)
-    offset += 4
-    body = blob[offset : offset + body_len]
-    if len(body) != body_len:
-        raise WireError("truncated report body")
-    report = _decode_body(body)
-    offset += body_len
-    if offset + 2 > len(blob):
-        raise WireError("missing attestation key")
-    (key_len,) = struct.unpack_from(">H", blob, offset)
-    offset += 2
+    r = Reader(bytes(blob), WireError, len(WIRE_MAGIC))
+    report = decode_report_body(r.take(r.u32("report frame"), "report body"))
     try:
-        key = RSAPublicKey.from_bytes(blob[offset : offset + key_len])
+        key = RSAPublicKey.from_bytes(r.take(r.u16("attestation key"), "attestation key"))
     except CryptoError as exc:
         raise WireError(f"bad attestation key: {exc}") from None
-    offset += key_len
-    if offset + 2 > len(blob):
-        raise WireError("missing signature")
-    (sig_len,) = struct.unpack_from(">H", blob, offset)
-    offset += 2
-    sig_bytes = blob[offset : offset + sig_len]
-    if len(sig_bytes) != sig_len:
-        raise WireError("truncated signature")
+    signature = r.take(r.u16("signature"), "signature")
     return SignedReport(
         report=report,
         attestation_key=key,
-        signature=int.from_bytes(sig_bytes, "big"),
+        signature=int.from_bytes(signature, "big"),
     )
 
 
-def _decode_body(body: bytes) -> DetectionReport:
-    if not body:
-        raise WireError("empty report body")
-    version = body[0]
+def decode_report_body(body: bytes) -> DetectionReport:
+    """Inverse of :func:`canonical_bytes`; raises :class:`WireError`."""
+    r = Reader(body, WireError)
+    version = r.u8("report body")
     if version != WIRE_VERSION:
         raise WireError(f"unsupported wire version {version}")
-    offset = 1
-    app_name, offset = _unpack_str(body, offset)
-    bomb_id, offset = _unpack_str(body, offset)
-    device_id, offset = _unpack_str(body, offset)
-    observed_key_hex, offset = _unpack_str(body, offset)
-    detection_method, offset = _unpack_str(body, offset)
-    if offset + 16 != len(body):
-        raise WireError("malformed report body")
-    (timestamp,) = struct.unpack_from(">d", body, offset)
-    (nonce,) = struct.unpack_from(">Q", body, offset + 8)
+    app_name = read_str(r)
+    bomb_id = read_str(r)
+    device_id = read_str(r)
+    observed_key_hex = read_str(r)
+    detection_method = read_str(r)
+    timestamp, nonce = r.unpack(_BODY_TAIL, "report body")
+    r.end("report body")
     return DetectionReport(
         app_name=app_name,
         bomb_id=bomb_id,

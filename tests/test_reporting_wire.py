@@ -29,15 +29,9 @@ from repro.reporting.durability import (
     encode_report_record,
     encode_snapshot,
 )
-from repro.reporting.net import (
-    FrameReader,
-    HealthStatus,
-    MessageReader,
-    decode_health,
-    decode_redirect,
-)
+from repro.reporting.net import HealthStatus, decode_health, decode_redirect
 from repro.reporting.net.framing import decode_fence, encode_health, encode_redirect
-from repro.reporting.wire import WIRE_MAGIC, canonical_bytes
+from repro.reporting.wire import canonical_bytes
 
 KEY_A = "ab" * 20
 KEY_B = "cd" * 20
@@ -286,33 +280,6 @@ def _only_wire_error(decode, data):
         decode(data)
     except WireError:
         pass
-
-
-@_FUZZ
-@given(data=st.binary(max_size=96))
-def test_binary_decoders_raise_only_wire_error(data):
-    for decode in (decode_report, decode_record, decode_snapshot,
-                   decode_health, decode_redirect):
-        _only_wire_error(decode, data)
-        _only_wire_error(decode, WIRE_MAGIC + data)
-    _only_wire_error(FrameReader().feed, data)
-    _only_wire_error(FrameReader().feed, WIRE_MAGIC + data)
-    _only_wire_error(MessageReader().feed, data)
-
-
-@_FUZZ
-@given(pos=st.integers(min_value=0), byte=st.integers(min_value=0, max_value=255))
-def test_decoders_of_one_corrupted_byte_raise_only_wire_error(attest_key, pos, byte):
-    valid = (
-        (decode_report, encode_report(sign_report(_report(), attest_key))),
-        (FrameReader().feed, encode_report(sign_report(_report(), attest_key))),
-        (decode_record, encode_report_record("Game", _report())),
-        (decode_health, encode_health(HealthStatus(epoch=3, role="fenced", endpoint="h:9"))),
-    )
-    for decode, blob in valid:
-        corrupted = bytearray(blob)
-        corrupted[pos % len(blob)] = byte
-        _only_wire_error(decode, bytes(corrupted))
 
 
 @_FUZZ
